@@ -240,7 +240,6 @@ class SweepConfig:
     grids: dict  # parameter name -> list of values, in declaration order
     out_format: str = "csv"
     out_path: str | None = None
-    seed: int | None = None
     workers: int | None = None
 
     def __post_init__(self):
@@ -312,8 +311,6 @@ def parse_sweep_config(path: str) -> SweepConfig:
                 kw["out_format"] = str(_parse_scalar(value))
             elif key == "out":
                 kw["out_path"] = str(_parse_scalar(value))
-            elif key == "seed":
-                kw["seed"] = int(_parse_scalar(value))
             elif key == "workers":
                 kw["workers"] = int(_parse_scalar(value))
             else:

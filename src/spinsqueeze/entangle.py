@@ -191,7 +191,8 @@ class CriteriaReport:
 
     Margins carry the natural units of each inequality (see the module docs).
     The booleans apply a -1e-12 guard so separable states that saturate an
-    inequality exactly do not flicker into "violated" through rounding.
+    inequality exactly do not flicker into "violated" through rounding; the
+    spin-j guard is 1e-12 times the largest second moment instead.
     """
 
     two_qubit_violated: bool
@@ -244,6 +245,24 @@ def _candidate_frames(mset: MomentSet):
         nperp = -math.sin(angle) * n1 + math.cos(angle) * n2
         frames.append(np.array([nmin, nperp, n0]))
     return frames
+
+
+def _spin_j_criterion(mset: MomentSet) -> tuple[float, bool]:
+    """(margin, violated) of the spin-j variance bound with the spin-1/2
+    floor F_{1/2}(x) = x^2/2: minimal transverse variance >= <J>^2 / N for
+    separable states.
+
+    The margin is a difference of second moments of size up to N^2/4, and
+    its rounding grows with them, so the guard is scaled by the largest.
+    """
+    _, _, ok = mean_spin_direction(mset)
+    if ok:
+        lam_minus, _ = min_transverse_variance(mset)
+        margin = lam_minus - mset.mean_length**2 / mset.n_particles
+    else:
+        margin = float(np.linalg.eigvalsh(mset.cov)[0])
+    tol = _VIOLATION_TOL * max(1.0, float(np.max(np.abs(mset.corr))))
+    return margin, margin < -tol
 
 
 def evaluate_criteria(
@@ -325,14 +344,7 @@ def evaluate_criteria(
 
     singlet_xi2 = float(np.trace(mset.cov)) / (n / 2.0)
 
-    # spin-j variance bound with the spin-1/2 floor F_{1/2}(x) = x^2/2:
-    # minimal transverse variance >= <J>^2 / N for separable states
-    theta, phi, ok = mean_spin_direction(mset)
-    if ok:
-        lam_minus, _ = min_transverse_variance(mset)
-        fj_margin = lam_minus - mset.mean_length**2 / n
-    else:
-        fj_margin = float(np.linalg.eigvalsh(mset.cov)[0])
+    fj_margin, fj_violated = _spin_j_criterion(mset)
 
     if aux is None:
         tm_margin = None
@@ -353,7 +365,7 @@ def evaluate_criteria(
         threeq_margin_b=threeq_b_margin,
         singlet_xi2=singlet_xi2,
         singlet_violated=hit(singlet_xi2 - 1.0),
-        spin_j_Fj_violated=hit(fj_margin),
+        spin_j_Fj_violated=fj_violated,
         spin_j_Fj_margin=fj_margin,
         two_mode_violated=tm_violated,
         two_mode_margin=tm_margin,

@@ -140,7 +140,8 @@ def ramsey_sensitivity(
         raise ValueError("need n_repeats >= 1")
     n = initial.n_particles
     after_pi = rotate(initial, np.array([1.0, 0.0, 0.0]), math.pi)
-    qfi = qfi_rotation(after_pi, _jy_matrix(n))
+    # pure-state QFI for the J_y phase: 4 (Delta J_y)^2 after the pi pulse
+    qfi = 4.0 * float(moments(after_pi).cov[1, 1])
     chi2 = (n / qfi) if qfi > 0 else None
 
     if readout == "jz":
@@ -179,12 +180,6 @@ def ramsey_sensitivity(
         chi2=chi2,
         n_repeats=n_repeats,
     )
-
-
-def _jy_matrix(n: int) -> np.ndarray:
-    from .states import spin_matrices
-
-    return spin_matrices(n / 2.0)["jy"]
 
 
 def ramsey_signal(initial: SymmetricState, phi: float, readout: str = "jz"):

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import io
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,12 +238,93 @@ def _apply_jm(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+class _EigenCache:
+    """Least-recently-used map from a key to a tuple of read-only arrays.
+
+    The bound is on the bytes of array data held, so a few large-N entries
+    cannot pin more memory than many small ones. An entry larger than the
+    whole bound is built and returned but not kept. Sweep worker threads
+    share one instance, hence the lock; two threads missing on the same key
+    both build it, which costs time but not correctness.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit
+        value = tuple(build())
+        for arr in value:
+            arr.setflags(write=False)
+        size = sum(arr.nbytes for arr in value)
+        if size > self.max_bytes:
+            return value
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = value
+                self._bytes += size
+                while self._bytes > self.max_bytes:
+                    _, old = self._entries.popitem(last=False)
+                    self._bytes -= sum(arr.nbytes for arr in old)
+        return value
+
+
+# 32 MiB holds about a hundred N = 200 generators, or one at N = 2000
+_EIGEN_CACHE_BYTES = 32 * 2**20
+_AXIS_EIGEN = _EigenCache(_EIGEN_CACHE_BYTES)
+
+
+def _real_matmul(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a @ c for a real matrix a and a complex vector c.
+
+    The real and imaginary parts go through one real product with two
+    columns: BLAS multiplies a real matrix by a complex vector only after
+    promoting the matrix to complex, which is several times slower.
+    """
+    pairs = np.ascontiguousarray(c, dtype=complex).view(np.float64).reshape(-1, 2)
+    return (a @ pairs).view(complex).reshape(-1)
+
+
+def _propagate(v: np.ndarray, gauge: np.ndarray, phases: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """gauge * v diag(phases) v^T conj(gauge) c for real orthogonal v."""
+    tmp = _real_matmul(v.T, np.conj(gauge) * c)
+    return gauge * _real_matmul(v, phases * tmp)
+
+
+def _axis_eigensystem(n: int, axis: tuple) -> tuple:
+    """(w, v, gauge) with J.axis = diag(gauge) v diag(w) v^T diag(gauge)^*.
+
+    J.axis is tridiagonal in the Dicke basis; the diagonal phase gauge makes
+    its off-diagonal real, so v comes from a real tridiagonal eigensolver.
+    Results are cached per (N, axis) and read-only.
+    """
+
+    def build():
+        m = m_values(n)
+        f = _ladder_plus_coeff(n / 2.0, m)
+        t = 0.5 * (axis[0] - 1j * axis[1]) * f[1:]  # couples index i to i-1
+        phases = np.zeros(n + 1)
+        phases[1:] = -np.cumsum(np.angle(t))
+        w, v = eigh_tridiagonal(axis[2] * m, np.abs(t))
+        return w, v, np.exp(1j * phases)
+
+    return _AXIS_EIGEN.get((n, axis), build)
+
+
 def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
     """Apply exp(-i * angle * J.axis) to the state.
 
     The generator is tridiagonal in the Dicke basis, so the propagator is
     evaluated exactly through a real symmetric tridiagonal eigendecomposition
-    (a diagonal phase gauge removes the complex off-diagonal phases).
+    (a diagonal phase gauge removes the complex off-diagonal phases), reused
+    for every rotation about the same axis at the same N.
     """
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
@@ -252,22 +335,13 @@ def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"rotation axis norm {norm!r} is not 1 within 1e-10")
     n = state.n_particles
-    m = m_values(n)
-    c = np.asarray(state.amplitudes, dtype=complex)
+    c = state.amplitudes
     if ax[0] ** 2 + ax[1] ** 2 < 1e-30:
         # pure J_z rotation, diagonal
-        out = np.exp(-1j * angle * ax[2] * m) * c
+        out = np.exp(-1j * angle * ax[2] * m_values(n)) * c
         return SymmetricState(n, out)
-    f = _ladder_plus_coeff(n / 2.0, m)
-    t = 0.5 * (ax[0] - 1j * ax[1]) * f[1:]  # couples index i to i-1
-    diag = ax[2] * m
-    phases = np.zeros(n + 1)
-    phases[1:] = -np.cumsum(np.angle(t))
-    gauge = np.exp(1j * phases)
-    w, v = eigh_tridiagonal(diag, np.abs(t))
-    tmp = v.T @ (np.conj(gauge) * c)
-    out = gauge * (v @ (np.exp(-1j * angle * w) * tmp))
-    return SymmetricState(n, out)
+    w, v, gauge = _axis_eigensystem(n, (float(ax[0]), float(ax[1]), float(ax[2])))
+    return SymmetricState(n, _propagate(v, gauge, np.exp(-1j * angle * w), c))
 
 
 def expectation(state: SymmetricState, operator) -> complex:

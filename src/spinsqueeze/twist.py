@@ -13,18 +13,21 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 
 from .states import (
+    _EIGEN_CACHE_BYTES,
     LocalMoments,
     SymmetricState,
+    _EigenCache,
+    _axis_eigensystem,
     _ladder_plus_coeff,
+    _propagate,
     collective_from_local,
     m_values,
     moments,
     rotate,
-    spin_matrices,
 )
 from .metrics import SqueezingReport, compute_report, min_transverse_variance
 
@@ -86,32 +89,50 @@ class KickedTopSpec:
             raise ValueError("spin size j must be a positive (half-)integer")
 
 
-def _evolved(state: SymmetricState, w: np.ndarray, v: np.ndarray, t: float) -> SymmetricState:
-    c = v.conj().T @ state.amplitudes
-    out = v @ (np.exp(-1j * t * w) * c)
-    return SymmetricState(state.n_particles, out)
+_DENSE_EIGEN = _EigenCache(_EIGEN_CACHE_BYTES)
+
+
+def _dense_eigensystem(n: int, h: HamiltonianSpec) -> tuple:
+    """(w, v, gauge) with H = diag(gauge) v diag(w) v^T diag(gauge)^* for the
+    two Hamiltonians that are not tridiagonal, cached per (N, spec).
+
+    chi*Jx^2 + B*Jz is real symmetric. chi*(JxJy + JyJx) = chi*(J+^2 - J-^2)/(2i)
+    becomes the real chi*(J+^2 + J-^2)/2 under the gauge e^{i pi k/4} on the
+    k-th Dicke index, so both are diagonalized as real matrices.
+    """
+
+    def build():
+        f = _ladder_plus_coeff(n / 2.0, m_values(n))
+        jp = np.diag(f[1:], 1)  # J_+ maps index k to k - 1
+        if h.kind == TAT:
+            jp2 = jp @ jp
+            ham = 0.5 * h.chi * (jp2 + jp2.T)
+            gauge = np.exp(0.25j * np.pi * np.arange(n + 1))
+        else:  # OAT_TRANSVERSE
+            jx = 0.5 * (jp + jp.T)
+            ham = h.chi * (jx @ jx) + h.field_b * np.diag(m_values(n))
+            gauge = np.ones(n + 1, dtype=complex)
+        w, v = eigh(ham)
+        return w, v, gauge
+
+    return _DENSE_EIGEN.get((n, h), build)
 
 
 def evolve(state: SymmetricState, h: HamiltonianSpec, t: float) -> SymmetricState:
-    """Unitary evolution exp(-i H t) via exact eigendecomposition."""
+    """Unitary evolution exp(-i H t) via exact eigendecomposition, reused for
+    every evolution under the same Hamiltonian at the same N."""
     if not math.isfinite(t) or not math.isfinite(h.chi * t):
         raise ValueError("evolution time (and chi*t) must be finite")
     n = state.n_particles
-    m = m_values(n)
+    c = state.amplitudes
     if h.kind == OAT_Z:
-        out = np.exp(-1j * h.chi * t * m**2) * state.amplitudes
-        return SymmetricState(n, out)
+        return SymmetricState(n, np.exp(-1j * h.chi * t * m_values(n) ** 2) * c)
     if h.kind == OAT_X:
-        f = _ladder_plus_coeff(n / 2.0, m)
-        w, v = eigh_tridiagonal(np.zeros(n + 1), f[1:] / 2.0)
-        return _evolved(state, h.chi * w**2, v, t)
-    mats = spin_matrices(n / 2.0)
-    if h.kind == TAT:
-        ham = h.chi * (mats["jx"] @ mats["jy"] + mats["jy"] @ mats["jx"])
-    else:  # OAT_TRANSVERSE
-        ham = h.chi * (mats["jx"] @ mats["jx"]) + h.field_b * mats["jz"]
-    w, v = eigh(ham)
-    return _evolved(state, w, v, t)
+        w, v, gauge = _axis_eigensystem(n, (1.0, 0.0, 0.0))
+        w = h.chi * w**2
+    else:
+        w, v, gauge = _dense_eigensystem(n, h)
+    return SymmetricState(n, _propagate(v, gauge, np.exp(-1j * t * w), c))
 
 
 def oat_state(n_particles: int, theta: float) -> SymmetricState:
@@ -199,13 +220,10 @@ def tat_minimum(n_particles: int, coarse: int = 200) -> tuple[float, float]:
 
     n = int(n_particles)
     south = dicke(n, -n / 2.0)
-    mats = spin_matrices(n / 2.0)
-    ham = mats["jx"] @ mats["jy"] + mats["jy"] @ mats["jx"]
-    w, v = eigh(ham)
+    ham = HamiltonianSpec(TAT, 1.0)
 
     def xi_at(chi_t: float) -> float:
-        psi = _evolved(south, w, v, chi_t)
-        return compute_report(moments(psi)).xi_S2
+        return compute_report(moments(evolve(south, ham, chi_t))).xi_S2
 
     ts = np.linspace(math.pi / 2.0 / coarse, math.pi / 2.0, coarse)
     vals = [xi_at(t) for t in ts]

@@ -191,6 +191,12 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", cfg)
         assert code == 2
 
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "op = oat\ngrid.n = 12\ngrid.theta = 0.1\nseed = 3\n")
+        code, _, err = run(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert "unknown key 'seed'" in err
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "op = oat\ngrid.n = 12\ngrid.theta =\n")
         code, _, _ = run(capsys, "sweep", "--config", cfg)

@@ -7,6 +7,7 @@ import spinsqueeze as sq
 from spinsqueeze.entangle import (
     TwoModeMoments,
     TwoQubitRDM,
+    _spin_j_criterion,
     concurrence_general,
     concurrence_symmetric,
     evaluate_criteria,
@@ -176,6 +177,25 @@ class TestCriteria:
         assert not rep.singlet_violated
         assert not rep.spin_j_Fj_violated
         assert rep.two_mode_violated is None
+
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_css_directions_not_flagged_at_large_n(self, n):
+        # a coherent state saturates the spin-j bound, margin exactly 0; its
+        # rounding grows like eps N^2, beyond a fixed 1e-12 guard
+        rng = np.random.default_rng(n)
+        near_zero = []
+        for _ in range(200):
+            st = sq.css(n, rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            margin, violated = _spin_j_criterion(sq.moments(st))
+            assert abs(margin) < 1e-13 * n * n
+            assert not violated
+            if margin < -1e-12:
+                near_zero.append(st)
+        for st in near_zero[:3]:  # the full report agrees where a fixed guard fired
+            assert not evaluate_criteria(st).spin_j_Fj_violated
+        squeezed = sq.oat_state(n, sq.optimal_oat(n).theta_star)
+        rep = evaluate_criteria(squeezed)
+        assert rep.spin_j_Fj_violated and rep.spin_j_Fj_margin < -1.0
 
     def test_oat_optimum_two_qubit_violation(self):
         st = sq.oat_state(10, 0.45)  # near the optimal twist for N=10

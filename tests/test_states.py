@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import spinsqueeze as sq
+from spinsqueeze import states
 from spinsqueeze.states import gauss_sphere_grid, m_values
 
 from oracles import dicke_to_full, full_mean_corr, local_from_rdm2, rdm2_standard
@@ -151,16 +153,48 @@ class TestRotate:
             out = sq.rotate(st, XHAT, alpha)
             assert abs(sq.moments(out).mean[0]) < 1e-12
 
-    def test_matches_dense_expm(self):
-        st = random_state(6, 3)
-        axis = np.array([0.3, -0.5, 0.81])
-        axis /= np.linalg.norm(axis)
-        ops = sq.build_operators(6)
-        gen = axis[0] * ops.jx.matrix + axis[1] * ops.jy.matrix + axis[2] * ops.jz.matrix
-        w, v = np.linalg.eigh(gen)
-        u = v @ np.diag(np.exp(-1j * 0.77 * w)) @ v.conj().T
-        got = sq.rotate(st, axis, 0.77)
-        assert np.max(np.abs(got.amplitudes - u @ st.amplitudes)) < 1e-12
+    def test_matches_dense_expm(self, monkeypatch):
+        # a fresh cache, and sizes in interleaved order, so that decompositions
+        # are built, reused and looked up again after other sizes
+        monkeypatch.setattr(states, "_AXIS_EIGEN", states._EigenCache(states._EIGEN_CACHE_BYTES))
+        tilted = np.array([0.3, -0.5, 0.81])
+        axes = [YHAT, -YHAT, XHAT, tilted / np.linalg.norm(tilted)]
+        for n in (6, 13, 6, 40, 13, 6):
+            st = random_state(n, 3 + n)
+            ops = sq.build_operators(n)
+            for axis in axes:
+                gen = axis[0] * ops.jx.matrix + axis[1] * ops.jy.matrix + axis[2] * ops.jz.matrix
+                for angle in (0.77, -2.4):
+                    got = sq.rotate(st, axis, angle)
+                    want = expm(-1j * angle * gen) @ st.amplitudes
+                    assert np.max(np.abs(got.amplitudes - want)) < 1e-12 * n
+
+    def test_cached_decomposition_read_only(self):
+        for arr in states._axis_eigensystem(9, (0.0, 1.0, 0.0)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_cache_evicts_least_recent_within_byte_bound(self):
+        cache = states._EigenCache(max_bytes=3 * 80)
+        builds = []
+
+        def build(key, size=10):
+            def make():
+                builds.append(key)
+                return (np.full(size, float(key)),)
+
+            return make
+
+        for key in (1, 2, 3, 1, 4):  # 1 is used again, so 2 is the oldest when 4 arrives
+            cache.get(key, build(key))
+        cache.get(1, build(1))
+        cache.get(2, build(2))
+        assert builds == [1, 2, 3, 4, 2]
+        big = cache.get(5, build(5, size=100))  # larger than the whole bound
+        assert big[0].shape == (100,)
+        cache.get(5, build(5, size=100))
+        assert builds[-2:] == [5, 5]
 
     def test_norm_preserved(self):
         st = random_state(25, 5)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import spinsqueeze as sq
-from spinsqueeze.states import dicke, local_moments, moments
+from spinsqueeze import states, twist
+from spinsqueeze.states import dicke, local_moments, moments, spin_matrices
 from spinsqueeze.metrics import compute_report, parity_shortcuts
 from spinsqueeze.twist import (
     OAT_TRANSVERSE,
@@ -133,6 +135,27 @@ class TestEvolve:
             m = moments(out)
             assert abs(2.0 * m.corr[0, 1]) < 1e-10  # <JxJy + JyJx> stays zero
 
+    @pytest.mark.parametrize("kind, chi, field_b", [(TAT, 0.8, 0.0), (OAT_TRANSVERSE, 0.6, 1.7),
+                                                    (OAT_X, 1.3, 0.0)])
+    def test_matches_dense_expm(self, kind, chi, field_b):
+        h = HamiltonianSpec(kind, chi, field_b)
+        for n in (9, 24, 9):  # the second N = 9 pass reads the cached decomposition
+            mats = spin_matrices(n / 2.0)
+            jx, jy, jz = mats["jx"], mats["jy"], mats["jz"]
+            ham = {TAT: chi * (jx @ jy + jy @ jx), OAT_TRANSVERSE: chi * jx @ jx + field_b * jz,
+                   OAT_X: chi * jx @ jx}[kind]
+            rng = np.random.default_rng(n)
+            st = sq.SymmetricState.normalized(n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+            for t in (0.05, 0.4, 1.3, 7.0):
+                want = expm(-1j * t * ham) @ st.amplitudes
+                got = evolve(st, h, t).amplitudes
+                assert np.max(np.abs(got - want)) < 1e-12 * n * max(1.0, chi * t)
+
+    def test_cached_decomposition_read_only(self):
+        for spec in (HamiltonianSpec(TAT, 1.0), HamiltonianSpec(OAT_TRANSVERSE, 1.0, 0.5)):
+            for arr in twist._dense_eigensystem(11, spec):
+                assert not arr.flags.writeable
+
     def test_tat_optimal_angle_locked(self):
         n = 40
         st = dicke(n, -20.0)
@@ -253,3 +276,17 @@ class TestKickedTop:
         res = self.traj(0.63, 5)
         assert len(res.reports) == 5
         assert res.means.shape == (5, 3)
+
+    def test_one_decomposition_per_trajectory(self, monkeypatch):
+        calls = []
+        real = states.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(states, "eigh_tridiagonal", counting)
+        monkeypatch.setattr(states, "_AXIS_EIGEN", states._EigenCache(states._EIGEN_CACHE_BYTES))
+        res = self.traj(0.63, 12)
+        assert len(res.reports) == 12
+        assert calls == [(51,)]
