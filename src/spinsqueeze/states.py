@@ -220,10 +220,6 @@ def dicke(n_particles: int, m: float) -> SymmetricState:
     return SymmetricState(n, amps)
 
 
-def _apply_jz(c: np.ndarray, n: int) -> np.ndarray:
-    return m_values(n) * c
-
-
 def _apply_jp(c: np.ndarray, n: int) -> np.ndarray:
     f = _ladder_plus_coeff(n / 2.0, m_values(n))
     out = np.zeros_like(c)
@@ -279,6 +275,8 @@ class _EigenCache:
 # 32 MiB holds about a hundred N = 200 generators, or one at N = 2000
 _EIGEN_CACHE_BYTES = 32 * 2**20
 _AXIS_EIGEN = _EigenCache(_EIGEN_CACHE_BYTES)
+# moments() tables: five N-vectors per N, hundreds of entries at N = 200
+_MOMENT_TABLES = _EigenCache(4 * 2**20)
 
 
 def _real_matmul(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -373,14 +371,20 @@ class MomentSet:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.mean.shape != (3,) or self.corr.shape != (3, 3):
-            raise ValueError("mean must be a 3-vector and corr a 3x3 matrix")
+        if self.mean.shape != (3,) or not (
+            self.corr.shape == self.cov.shape == self.gamma_big.shape == (3, 3)
+        ):
+            raise ValueError("mean must be a 3-vector and corr, cov, gamma_big 3x3 matrices")
+        # elementwise on Python floats: numpy's per-call cost dominates at 3x3
+        scales = {}
         for name in ("corr", "cov", "gamma_big"):
-            arr = getattr(self, name)
-            if np.max(np.abs(arr - arr.T)) > 1e-10 * max(1.0, np.max(np.abs(arr))):
+            a = getattr(self, name).tolist()
+            scales[name] = max(1.0, *map(abs, a[0] + a[1] + a[2]))
+            asym = max(abs(a[0][1] - a[1][0]), abs(a[0][2] - a[2][0]), abs(a[1][2] - a[2][1]))
+            if asym > 1e-10 * scales[name]:
                 raise ValueError(f"{name} matrix is not symmetric")
         lo = np.linalg.eigvalsh(self.cov)[0]
-        if lo < -1e-10 * max(1.0, float(np.max(np.abs(self.cov)))):
+        if lo < -1e-10 * scales["cov"]:
             raise ValueError(f"covariance matrix has negative eigenvalue {lo!r}")
 
     @classmethod
@@ -388,30 +392,55 @@ class MomentSet:
         mean = np.asarray(mean, dtype=float)
         corr = np.asarray(corr, dtype=float)
         corr = (corr + corr.T) / 2.0
-        cov = corr - np.outer(mean, mean)
+        cov = corr - mean[:, None] * mean
         gamma_big = (n_particles - 1) * cov + corr
-        return cls(n_particles, mean, corr, cov, gamma_big, float(np.trace(corr)))
+        return cls(n_particles, mean, corr, cov, gamma_big, float(corr.trace()))
 
     @property
     def mean_length(self) -> float:
         return float(np.linalg.norm(self.mean))
 
 
+def _moment_tables(n: int) -> tuple:
+    """Per-N weights of the moment sums, cached and read-only: m_k, m_k^2,
+    f_k = <k|J_+|k+1>, f_k (m_k + m_{k+1})/2 and f_k f_{k+1} = <k|J_+^2|k+2>.
+    """
+
+    def build():
+        m = m_values(n)
+        f = _ladder_plus_coeff(n / 2.0, m)[1:]
+        return m, m * m, f, f * (m[:-1] + m[1:]) / 2.0, f[:-1] * f[1:]
+
+    return _MOMENT_TABLES.get(n, build)
+
+
 def moments(state: SymmetricState) -> MomentSet:
-    """All first and second collective moments of a symmetric state."""
+    """All first and second collective moments of a symmetric state.
+
+    Every moment is a sum over at most three diagonals of the Dicke basis:
+    <J_+> = <J_x> + i<J_y>, <J_+^2> gives the transverse second moments,
+    <{J_+, J_z}>/2 the xz and yz ones, and J_x^2 + J_y^2 = J^2 - J_z^2.
+    """
     n = state.n_particles
+    m, m2, f, fz, f2 = _moment_tables(n)
     c = np.asarray(state.amplitudes, dtype=complex)
-    pc = _apply_jp(c, n)
-    mc = _apply_jm(c, n)
-    zc = _apply_jz(c, n)
-    xc = (pc + mc) / 2.0
-    yc = (pc - mc) / 2.0j
-    vecs = (xc, yc, zc)
-    mean = np.array([np.vdot(c, v).real for v in vecs])
-    corr = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            corr[a, b] = corr[b, a] = np.vdot(vecs[a], vecs[b]).real
+    prob = c.real * c.real + c.imag * c.imag
+    jz = float(m @ prob)
+    jz2 = float(m2 @ prob)
+    near = np.conj(c[:-1]) * c[1:]
+    jp = complex(near @ f)
+    jpz = complex(near @ fz)
+    jp2 = complex((np.conj(c[:-2]) * c[2:]) @ f2)
+    j_squared = n / 2.0 * (n / 2.0 + 1.0) * float(prob.sum())
+    perp = (j_squared - jz2) / 2.0
+    mean = np.array([jp.real, jp.imag, jz])
+    corr = np.array(
+        [
+            [perp + jp2.real / 2.0, jp2.imag / 2.0, jpz.real],
+            [jp2.imag / 2.0, perp - jp2.real / 2.0, jpz.imag],
+            [jpz.real, jpz.imag, jz2],
+        ]
+    )
     return MomentSet.from_mean_corr(n, mean, corr)
 
 

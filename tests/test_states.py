@@ -218,6 +218,33 @@ class TestMoments:
         assert np.max(np.abs(m.mean - mean)) < 1e-10
         assert np.max(np.abs(m.corr - corr)) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 37, 200])
+    def test_matches_dense_spin_matrices(self, n):
+        # interleave N so cached and freshly built moment tables alternate
+        for size in (n, 5, n):
+            st = random_state(size, 300 + size)
+            ops = sq.spin_matrices(size / 2.0)
+            c = st.amplitudes
+            vecs = [ops[a] @ c for a in ("jx", "jy", "jz")]
+            mean = np.array([np.vdot(c, v).real for v in vecs])
+            corr = np.array([[np.vdot(u, v).real for v in vecs] for u in vecs])
+            m = sq.moments(st)
+            scale = max(1.0, size**2)
+            assert np.max(np.abs(m.mean - mean)) < 1e-12 * scale
+            assert np.max(np.abs(m.corr - corr)) < 1e-12 * scale
+            assert abs(m.j_squared - np.trace(corr)) < 1e-12 * scale
+
+    def test_moment_set_validation(self):
+        good = sq.moments(random_state(5, 1))
+        bad_shape = good.cov[:2, :2]
+        with pytest.raises(ValueError, match="3x3"):
+            sq.MomentSet(5, good.mean, good.corr, bad_shape, good.gamma_big, good.j_squared)
+        skew = good.corr + np.array([[0.0, 1e-3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="corr matrix is not symmetric"):
+            sq.MomentSet(5, good.mean, skew, good.cov, good.gamma_big, good.j_squared)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            sq.MomentSet(5, good.mean, good.corr, -np.eye(3), good.gamma_big, good.j_squared)
+
     def test_j_squared_fixed(self):
         for n in (2, 5, 12):
             m = sq.moments(random_state(n, n))
