@@ -153,7 +153,18 @@ class TestRotate:
             out = sq.rotate(st, XHAT, alpha)
             assert abs(sq.moments(out).mean[0]) < 1e-12
 
-    def test_matches_dense_expm(self, monkeypatch):
+    def test_matches_dense_expm(self):
+        st = random_state(6, 3)
+        axis = np.array([0.3, -0.5, 0.81])
+        axis /= np.linalg.norm(axis)
+        ops = sq.build_operators(6)
+        gen = axis[0] * ops.jx.matrix + axis[1] * ops.jy.matrix + axis[2] * ops.jz.matrix
+        w, v = np.linalg.eigh(gen)
+        u = v @ np.diag(np.exp(-1j * 0.77 * w)) @ v.conj().T
+        got = sq.rotate(st, axis, 0.77)
+        assert np.max(np.abs(got.amplitudes - u @ st.amplitudes)) < 1e-12
+
+    def test_matches_expm_axes_and_interleaved_sizes(self, monkeypatch):
         # a fresh cache, and sizes in interleaved order, so that decompositions
         # are built, reused and looked up again after other sizes
         monkeypatch.setattr(states, "_AXIS_EIGEN", states._EigenCache(states._EIGEN_CACHE_BYTES))
