@@ -322,7 +322,10 @@ def parse_sweep_config(path: str) -> SweepConfig:
 
 def _worker_count(requested: int | None) -> int:
     cap = os.environ.get("SQZ_THREADS")
-    cap_n = max(1, int(cap)) if cap else None
+    try:
+        cap_n = max(1, int(cap)) if cap else None
+    except ValueError:
+        raise SweepConfigError(f"SQZ_THREADS must be an integer, got {cap!r}") from None
     n = requested if requested and requested > 0 else (os.cpu_count() or 1)
     if cap_n is not None:
         n = min(n, cap_n)
@@ -506,6 +509,8 @@ def _cmd_lmg(args) -> int:
         hs = [args.h]
     else:
         start, stop, count = args.h_grid
+        if not (count.is_integer() and count >= 1):
+            raise SweepConfigError(f"--h-grid COUNT must be a positive integer, got {count:g}")
         hs = list(np.linspace(start, stop, int(count)))
     rows = [_eval_lmg(args.n, h, args.gamma) for h in hs]
     cols = list(rows[0].keys())

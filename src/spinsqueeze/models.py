@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
-from .states import SymmetricState, moments, spin_matrices
+from .states import SymmetricState, _moment_tables, moments, spin_matrices
 from .metrics import SqueezingReport, compute_report
 
 __all__ = [
@@ -39,17 +39,11 @@ class LMGSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need N >= 2")
+        for name in ("h", "lambda_coupling"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.gamma_aniso <= 1.0:
             raise ValueError("anisotropy must lie in [0, 1]")
-
-
-def _lmg_hamiltonian(spec: LMGSpec) -> np.ndarray:
-    mats = spin_matrices(spec.n / 2.0)
-    jx2 = mats["jx"] @ mats["jx"]
-    jy2 = mats["jy"] @ mats["jy"]
-    ham = -(spec.lambda_coupling / spec.n) * (jx2 + spec.gamma_aniso * jy2)
-    ham -= spec.h * mats["jz"]
-    return ham
 
 
 def lmg_ground(spec: LMGSpec) -> tuple[SymmetricState, SqueezingReport]:
@@ -57,23 +51,28 @@ def lmg_ground(spec: LMGSpec) -> tuple[SymmetricState, SqueezingReport]:
 
     The Hamiltonian conserves parity, so the spectrum is solved per parity
     block; on numerical near-degeneracy (symmetry-broken phase at large N)
-    the even-parity representative is returned.
+    the even-parity representative is returned. In Dicke index k each block
+    is real and tridiagonal: Jx^2 + gamma Jy^2 = (1+gamma)/2 (J^2 - Jz^2) +
+    (1-gamma)/4 (J_+^2 + J_-^2), so only k and k+2 couple, and only the
+    lowest eigenpair of each block is computed.
     """
     n = spec.n
-    ham = _lmg_hamiltonian(spec)
-    idx = np.arange(n + 1)
-    even = (n - idx) % 2 == 0  # parity eigenvalue (-1)^(j+m) = (-1)^(N-i)
+    m, m2, _, _, f2 = _moment_tables(n)
+    g = spec.lambda_coupling / n
+    j = n / 2.0
+    diag = -g * (1.0 + spec.gamma_aniso) / 2.0 * (j * (j + 1.0) - m2) - spec.h * m
+    off = -g * (1.0 - spec.gamma_aniso) / 4.0 * f2
     best: tuple[float, np.ndarray] | None = None
-    for mask in (even, ~even):
-        sub = np.where(mask)[0]
-        if sub.size == 0:
-            continue
-        w, v = eigh(ham[np.ix_(sub, sub)])
+    # parity eigenvalue (-1)^(j+m) = (-1)^(N-k): the even block starts at k = N mod 2
+    for start in (n % 2, 1 - n % 2):
+        w, v = eigh_tridiagonal(
+            diag[start::2], off[start::2], select="i", select_range=(0, 0)
+        )
         energy = float(w[0])
-        vec = np.zeros(n + 1, dtype=complex)
-        vec[sub] = v[:, 0]
         scale = max(1.0, abs(energy))
         if best is None or energy < best[0] - 1e-10 * scale:
+            vec = np.zeros(n + 1, dtype=complex)
+            vec[start::2] = v[:, 0]
             best = (energy, vec)
     state = SymmetricState.normalized(n, best[1])
     return state, compute_report(moments(state))

@@ -186,6 +186,21 @@ class TestSweep:
         assert run_cli(["sweep", "--config", cfg2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_malformed_thread_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        cfg = self.write_config(tmp_path, "op = oat\ngrid.n = 12\ngrid.theta = 0.1\nworkers = 1\n")
+        monkeypatch.setenv("SQZ_THREADS", "abc")
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "SQZ_THREADS" in err
+
+    def test_non_finite_lmg_point_flagged(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "op = lmg\ngrid.n = 8\ngrid.h = 0.5,nan\ngrid.gamma = 0.2\n")
+        code, out, _ = run(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        statuses = [ln.rsplit(",", 1)[-1] for ln in out.strip().splitlines()[1:]]
+        assert statuses == ["ok", "error: h must be finite"]
+
     def test_unknown_operation_rejected(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "op = teleport\ngrid.n = 2\n")
         code, _, err = run(capsys, "sweep", "--config", cfg)
@@ -282,3 +297,12 @@ class TestLmgCommand:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 6
+
+    def test_h_grid_count_must_be_positive_integer(self, capsys):
+        for count in ("0", "2.7", "-3"):
+            code, out, err = run(
+                capsys, "lmg", "--n", "8", "--gamma", "0", "--h-grid", "0.5", "1.0", count,
+            )
+            assert code == 2
+            assert out == ""
+            assert "COUNT" in err

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import spinsqueeze as sq
+import spinsqueeze.models
 from spinsqueeze.models import (
     LMGSpec,
     QNDSpec,
@@ -69,6 +71,104 @@ class TestLmgGround:
     def test_squeezed_near_critical_point(self):
         _, rep = lmg_ground(LMGSpec(128, 1.0, 0.0))
         assert rep.xi_S2 < 1.0
+
+
+def _dense_lmg_reference(n, h, gamma):
+    """Dense real H and the lowest eigenpair of each parity block, by energy."""
+    mats = sq.spin_matrices(n / 2.0)
+    jx, jy, jz = mats["jx"], mats["jy"], mats["jz"]
+    ham = (-(jx @ jx + gamma * (jy @ jy)) / n - h * jz).real
+    blocks = []
+    for start in (0, 1):
+        idx = np.arange(start, n + 1, 2)
+        w, v = scipy.linalg.eigh(ham[np.ix_(idx, idx)])
+        psi = np.zeros(n + 1)
+        psi[idx] = v[:, 0]
+        blocks.append((float(w[0]), psi))
+    return ham, (jx, jy, jz), sorted(blocks, key=lambda b: b[0])
+
+
+def _dense_xi_s2(psi, ops, n):
+    """4 min perpendicular variance / N from dense operators; None without a mean spin."""
+    mean = np.array([np.vdot(psi, op @ psi).real for op in ops])
+    length = float(np.linalg.norm(mean))
+    if length <= 1e-9 * n:
+        return None
+    cov = np.array(
+        [[np.vdot(a @ psi, b @ psi).real for b in ops] for a in ops]
+    ) - np.outer(mean, mean)
+    perp = scipy.linalg.null_space((mean / length)[None, :])
+    return 4.0 * float(np.linalg.eigvalsh(perp.T @ cov @ perp)[0]) / n
+
+
+class TestLmgTridiagonal:
+    def test_matches_dense_parity_blocks(self):
+        # sizes interleaved so cached and fresh per-N tables alternate
+        for gamma in (0.0, 0.37, 1.0):
+            for n in (20, 2, 200, 3, 37):
+                for h in (0.0, (n - 1) / n * math.sqrt(gamma), 0.9, 1.6):
+                    st, rep = lmg_ground(LMGSpec(n, h, gamma))
+                    ham, ops, ((e0, psi0), (e1, psi1)) = _dense_lmg_reference(n, h, gamma)
+                    scale = max(1.0, abs(e0))
+                    tied = e1 - e0 <= 1e-9 * scale
+                    amps = st.amplitudes
+                    assert np.max(np.abs(amps.imag)) == 0.0
+                    candidates = [(e0, psi0)] + ([(e1, psi1)] if tied else [])
+                    dist = [
+                        min(np.linalg.norm(amps.real - psi), np.linalg.norm(amps.real + psi))
+                        for _, psi in candidates
+                    ]
+                    k = int(np.argmin(dist))
+                    energy, psi = candidates[k]
+                    case = (n, gamma, h)
+                    assert dist[k] < 1e-9, case
+                    assert abs(float(amps.real @ ham @ amps.real) - energy) <= 1e-12 * scale, case
+                    want = _dense_xi_s2(psi, ops, n)
+                    if want is None:
+                        assert rep.xi_S2 is None, case
+                    else:
+                        assert abs(rep.xi_S2 - want) <= 1e-9 * max(1.0, want), case
+
+    def test_even_parity_wins_ties(self):
+        # exact level crossings (gamma = 1 ladder states, factorization point)
+        # and the numerically degenerate broken phase at large N
+        for n, h, gamma in ((20, 0.95, 1.0), (64, 63 / 64 * 0.5, 0.25), (200, 0.0, 0.0), (37, 0.0, 0.37)):
+            st, _ = lmg_ground(LMGSpec(n, h, gamma))
+            signs = (-1.0) ** (n - np.arange(n + 1))
+            assert abs(float(signs @ (np.abs(st.amplitudes) ** 2)) - 1.0) < 1e-10
+
+    def test_uses_tridiagonal_solver_only(self, monkeypatch):
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        calls = []
+        tridiagonal = spinsqueeze.models.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(spinsqueeze.models, "eigh", no_dense)
+        monkeypatch.setattr(spinsqueeze.models, "eigh_tridiagonal", counting)
+        for n in (2, 3, 64):
+            calls.clear()
+            lmg_ground(LMGSpec(n, 0.8, 0.3))
+            assert len(calls) == 2
+            want = [n // 2, n // 2 + 1] if n % 2 == 0 else [(n + 1) // 2] * 2
+            assert sorted(calls) == want
+
+    def test_non_finite_inputs_rejected(self):
+        for kwargs, field in (
+            ({"h": math.nan}, "h"),
+            ({"h": -math.inf}, "h"),
+            ({"lambda_coupling": math.inf}, "lambda_coupling"),
+            ({"lambda_coupling": math.nan}, "lambda_coupling"),
+        ):
+            args = {"n": 20, "h": 0.5, "gamma_aniso": 0.3, **kwargs}
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                LMGSpec(**args)
+        with pytest.raises(ValueError, match="anisotropy"):
+            LMGSpec(20, 0.5, math.nan)
 
 
 class TestLmgThermo:
