@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 
-from .states import SymmetricState, _moment_tables, moments, spin_matrices
+from .states import SymmetricState, _parity_ground, moments
 from .metrics import SqueezingReport, compute_report
 
 __all__ = [
@@ -57,24 +56,11 @@ def lmg_ground(spec: LMGSpec) -> tuple[SymmetricState, SqueezingReport]:
     lowest eigenpair of each block is computed.
     """
     n = spec.n
-    m, m2, _, _, f2 = _moment_tables(n)
     g = spec.lambda_coupling / n
     j = n / 2.0
-    diag = -g * (1.0 + spec.gamma_aniso) / 2.0 * (j * (j + 1.0) - m2) - spec.h * m
-    off = -g * (1.0 - spec.gamma_aniso) / 4.0 * f2
-    best: tuple[float, np.ndarray] | None = None
-    # parity eigenvalue (-1)^(j+m) = (-1)^(N-k): the even block starts at k = N mod 2
-    for start in (n % 2, 1 - n % 2):
-        w, v = eigh_tridiagonal(
-            diag[start::2], off[start::2], select="i", select_range=(0, 0)
-        )
-        energy = float(w[0])
-        scale = max(1.0, abs(energy))
-        if best is None or energy < best[0] - 1e-10 * scale:
-            vec = np.zeros(n + 1, dtype=complex)
-            vec[start::2] = v[:, 0]
-            best = (energy, vec)
-    state = SymmetricState.normalized(n, best[1])
+    a = g * (1.0 + spec.gamma_aniso) / 2.0
+    c = -g * (1.0 - spec.gamma_aniso) / 4.0
+    state = _parity_ground(n, (-a * j * (j + 1.0), a, -spec.h, c))
     return state, compute_report(moments(state))
 
 
@@ -109,17 +95,12 @@ def extreme_squeezing_curve(j: int, mu_grid) -> list[tuple[float, float]]:
     """
     if j != int(j) or j < 1:
         raise ValueError("extreme-squeezing curve is defined for integer spins j >= 1")
-    mats = spin_matrices(float(j))
-    jx, jz = mats["jx"], mats["jz"]
-    jx2 = jx @ jx
+    n = 2 * int(j)
+    const = j * (j + 1.0) / 2.0  # Jx^2 = j(j+1)/2 - Jz^2/2 + (J+^2 + J-^2)/4
     out = []
     for mu in mu_grid:
-        w, v = eigh(float(mu) * jz + jx2)
-        g = v[:, 0]
-        x = float(np.vdot(g, jz @ g).real) / j
-        mean_x = float(np.vdot(g, jx @ g).real)
-        var_x = float(np.vdot(g, jx2 @ g).real) - mean_x**2
-        out.append((x, var_x / j))
+        mset = moments(_parity_ground(n, (const, -0.5, float(mu), 0.25)))
+        out.append((float(mset.mean[2]) / j, float(mset.cov[0, 0]) / j))
     return out
 
 

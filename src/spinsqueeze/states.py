@@ -272,9 +272,11 @@ class _EigenCache:
         return value
 
 
-# 32 MiB holds about a hundred N = 200 generators, or one at N = 2000
+# One cache for every generator decomposition, rotation axes and quadratic
+# Hamiltonians alike: 32 MiB holds about a hundred N = 200 generators, or one
+# at N = 2000
 _EIGEN_CACHE_BYTES = 32 * 2**20
-_AXIS_EIGEN = _EigenCache(_EIGEN_CACHE_BYTES)
+_GENERATOR_EIGEN = _EigenCache(_EIGEN_CACHE_BYTES)
 # moments() tables: five N-vectors per N, hundreds of entries at N = 200
 _MOMENT_TABLES = _EigenCache(4 * 2**20)
 
@@ -290,10 +292,17 @@ def _real_matmul(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (a @ pairs).view(complex).reshape(-1)
 
 
-def _propagate(v: np.ndarray, gauge: np.ndarray, phases: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """gauge * v diag(phases) v^T conj(gauge) c for real orthogonal v."""
-    tmp = _real_matmul(v.T, np.conj(gauge) * c)
-    return gauge * _real_matmul(v, phases * tmp)
+def _propagate(c: np.ndarray, gauge: np.ndarray, blocks, t: float) -> np.ndarray:
+    """exp(-i t H) c for H = diag(gauge) B diag(gauge)^*, where B is the direct
+    sum of v diag(w) v^T over ``blocks`` of (start, stride, w, v), each with a
+    real orthogonal v acting on the Dicke indices start::stride.
+    """
+    d = np.conj(gauge) * c
+    out = np.empty_like(d)
+    for start, stride, w, v in blocks:
+        tmp = _real_matmul(v.T, d[start::stride])
+        out[start::stride] = _real_matmul(v, np.exp(-1j * t * w) * tmp)
+    return gauge * out
 
 
 def _axis_eigensystem(n: int, axis: tuple) -> tuple:
@@ -313,7 +322,51 @@ def _axis_eigensystem(n: int, axis: tuple) -> tuple:
         w, v = eigh_tridiagonal(axis[2] * m, np.abs(t))
         return w, v, np.exp(1j * phases)
 
-    return _AXIS_EIGEN.get((n, axis), build)
+    return _GENERATOR_EIGEN.get(("axis", n, axis), build)
+
+
+def _parity_bands(n: int, coeffs: tuple) -> list:
+    """[(start, diag, off)] for the two parity blocks of the quadratic generator
+    const + a J_z^2 + b J_z + c (J_+^2 + J_-^2), coeffs = (const, a, b, c).
+
+    J_+^2 couples Dicke index k only to k + 2, so each block is real and
+    tridiagonal on the indices start::2. Parity (-1)^(j+m) = (-1)^(N-k), so
+    the even block, listed first, starts at k = N mod 2.
+    """
+    const, a, b, c = coeffs
+    m, m2, _, _, f2 = _moment_tables(n)
+    diag = const + a * m2 + b * m
+    off = c * f2
+    return [(start, diag[start::2], off[start::2]) for start in (n % 2, 1 - n % 2)]
+
+
+def _parity_eigensystem(n: int, coeffs: tuple) -> list:
+    """[(start, 2, w, v)] per parity block of the quadratic generator, for
+    ``_propagate``; cached per (N, coeffs) and read-only."""
+
+    def build():
+        return [x for _, d, e in _parity_bands(n, coeffs) for x in eigh_tridiagonal(d, e)]
+
+    w0, v0, w1, v1 = _GENERATOR_EIGEN.get(("parity", n, coeffs), build)
+    return [(n % 2, 2, w0, v0), (1 - n % 2, 2, w1, v1)]
+
+
+def _parity_ground(n: int, coeffs: tuple) -> SymmetricState:
+    """Lowest eigenstate of the quadratic generator (real amplitudes).
+
+    Only the lowest eigenpair of each block is computed, and nothing is
+    cached. On a near-tie between the blocks (odd lower by no more than
+    1e-10 max(1, |E|)) the even-parity state is returned.
+    """
+    best = None
+    for start, d, e in _parity_bands(n, coeffs):
+        w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        energy = float(w[0])
+        if best is None or energy < best[0] - 1e-10 * max(1.0, abs(energy)):
+            vec = np.zeros(n + 1, dtype=complex)
+            vec[start::2] = v[:, 0]
+            best = (energy, vec)
+    return SymmetricState.normalized(n, best[1])
 
 
 def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
@@ -339,7 +392,7 @@ def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
         out = np.exp(-1j * angle * ax[2] * m_values(n)) * c
         return SymmetricState(n, out)
     w, v, gauge = _axis_eigensystem(n, (float(ax[0]), float(ax[1]), float(ax[2])))
-    return SymmetricState(n, _propagate(v, gauge, np.exp(-1j * angle * w), c))
+    return SymmetricState(n, _propagate(c, gauge, [(0, 1, w, v)], angle))
 
 
 def expectation(state: SymmetricState, operator) -> complex:

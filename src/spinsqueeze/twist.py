@@ -3,7 +3,10 @@ and the quantum kicked top.
 
 The one-axis twisted state exp(-i theta J_x^2 / 2)|j,-j> admits closed-form
 pair moments; everything else is evolved exactly in the Dicke basis through
-Hermitian eigendecompositions.
+real tridiagonal eigendecompositions. One-axis twisting about x squares the
+eigenvalues of J_x; two-axis twisting and twisting in a transverse field are
+quadratic in J, so each splits into two parity blocks coupling Dicke index k
+only to k +- 2.
 """
 
 from __future__ import annotations
@@ -13,16 +16,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 
 from .states import (
-    _EIGEN_CACHE_BYTES,
     LocalMoments,
     SymmetricState,
-    _EigenCache,
     _axis_eigensystem,
-    _ladder_plus_coeff,
+    _parity_eigensystem,
     _propagate,
     collective_from_local,
     m_values,
@@ -89,33 +89,27 @@ class KickedTopSpec:
             raise ValueError("spin size j must be a positive (half-)integer")
 
 
-_DENSE_EIGEN = _EigenCache(_EIGEN_CACHE_BYTES)
+def _eigensystem(n: int, h: HamiltonianSpec) -> tuple:
+    """(blocks, gauge) with H = diag(gauge) B diag(gauge)^*, B the direct sum of
+    the real blocks (start, stride, w, v) that ``_propagate`` takes.
 
-
-def _dense_eigensystem(n: int, h: HamiltonianSpec) -> tuple:
-    """(w, v, gauge) with H = diag(gauge) v diag(w) v^T diag(gauge)^* for the
-    two Hamiltonians that are not tridiagonal, cached per (N, spec).
-
-    chi*Jx^2 + B*Jz is real symmetric. chi*(JxJy + JyJx) = chi*(J+^2 - J-^2)/(2i)
-    becomes the real chi*(J+^2 + J-^2)/2 under the gauge e^{i pi k/4} on the
-    k-th Dicke index, so both are diagonalized as real matrices.
+    chi*Jx^2 squares the cached J_x eigenvalues, which is more accurate than
+    solving it as a quadratic generator. chi*Jx^2 + B*Jz = chi j(j+1)/2 -
+    chi/2 Jz^2 + B Jz + chi/4 (J+^2 + J-^2) is real as it stands, and
+    chi*(JxJy + JyJx) = chi*(J+^2 - J-^2)/(2i) becomes the real
+    chi/2 (J+^2 + J-^2) under the gauge e^{i pi k/4} on the k-th Dicke index.
     """
-
-    def build():
-        f = _ladder_plus_coeff(n / 2.0, m_values(n))
-        jp = np.diag(f[1:], 1)  # J_+ maps index k to k - 1
-        if h.kind == TAT:
-            jp2 = jp @ jp
-            ham = 0.5 * h.chi * (jp2 + jp2.T)
-            gauge = np.exp(0.25j * np.pi * np.arange(n + 1))
-        else:  # OAT_TRANSVERSE
-            jx = 0.5 * (jp + jp.T)
-            ham = h.chi * (jx @ jx) + h.field_b * np.diag(m_values(n))
-            gauge = np.ones(n + 1, dtype=complex)
-        w, v = eigh(ham)
-        return w, v, gauge
-
-    return _DENSE_EIGEN.get((n, h), build)
+    if h.kind == OAT_X:
+        w, v, gauge = _axis_eigensystem(n, (1.0, 0.0, 0.0))
+        return [(0, 1, h.chi * w**2, v)], gauge
+    if h.kind == TAT:
+        coeffs = (0.0, 0.0, 0.0, h.chi / 2.0)
+        gauge = np.exp(0.25j * np.pi * np.arange(n + 1))
+    else:  # OAT_TRANSVERSE
+        j = n / 2.0
+        coeffs = (h.chi * j * (j + 1.0) / 2.0, -h.chi / 2.0, h.field_b, h.chi / 4.0)
+        gauge = np.ones(n + 1, dtype=complex)
+    return _parity_eigensystem(n, coeffs), gauge
 
 
 def evolve(state: SymmetricState, h: HamiltonianSpec, t: float) -> SymmetricState:
@@ -127,12 +121,8 @@ def evolve(state: SymmetricState, h: HamiltonianSpec, t: float) -> SymmetricStat
     c = state.amplitudes
     if h.kind == OAT_Z:
         return SymmetricState(n, np.exp(-1j * h.chi * t * m_values(n) ** 2) * c)
-    if h.kind == OAT_X:
-        w, v, gauge = _axis_eigensystem(n, (1.0, 0.0, 0.0))
-        w = h.chi * w**2
-    else:
-        w, v, gauge = _dense_eigensystem(n, h)
-    return SymmetricState(n, _propagate(v, gauge, np.exp(-1j * t * w), c))
+    blocks, gauge = _eigensystem(n, h)
+    return SymmetricState(n, _propagate(c, gauge, blocks, t))
 
 
 def oat_state(n_particles: int, theta: float) -> SymmetricState:

@@ -6,6 +6,8 @@ import scipy.linalg
 
 import spinsqueeze as sq
 import spinsqueeze.models
+import spinsqueeze.states
+import spinsqueeze.twist
 from spinsqueeze.models import (
     LMGSpec,
     QNDSpec,
@@ -142,14 +144,18 @@ class TestLmgTridiagonal:
             raise AssertionError("dense eigh called")
 
         calls = []
-        tridiagonal = spinsqueeze.models.eigh_tridiagonal
+        tridiagonal = spinsqueeze.states.eigh_tridiagonal
 
         def counting(*args, **kwargs):
             calls.append(len(args[0]))
             return tridiagonal(*args, **kwargs)
 
-        monkeypatch.setattr(spinsqueeze.models, "eigh", no_dense)
-        monkeypatch.setattr(spinsqueeze.models, "eigh_tridiagonal", counting)
+        # no module of the package binds a dense eigh, and the library ones raise
+        for module in (spinsqueeze.models, spinsqueeze.states, spinsqueeze.twist):
+            assert not hasattr(module, "eigh")
+        monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        monkeypatch.setattr(spinsqueeze.states, "eigh_tridiagonal", counting)
         for n in (2, 3, 64):
             calls.clear()
             lmg_ground(LMGSpec(n, 0.8, 0.3))
@@ -246,6 +252,23 @@ class TestExtremeSqueezing:
             if not mask.any():
                 continue
             assert var >= fs[mask].min() - 1e-9
+
+    def test_matches_dense_ground_states(self):
+        # spins interleaved so cached and fresh per-N tables alternate
+        mu_grid = np.linspace(-30.0, 30.0, 61)
+        for j in (1, 4, 2, 6, 3):
+            m = j - np.arange(2 * j + 1.0)
+            jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+            jx = (jp + jp.T) / 2.0
+            jz = np.diag(m)
+            for mu, (x, f) in zip(mu_grid, extreme_squeezing_curve(j, mu_grid)):
+                w, v = np.linalg.eigh(mu * jz + jx @ jx)
+                assert w[1] - w[0] > 1e-6, (j, mu)  # the dense ground state is unique
+                g = v[:, 0]
+                want_x = g @ jz @ g / j
+                want_f = (g @ jx @ jx @ g - (g @ jx @ g) ** 2) / j
+                assert abs(x - want_x) < 1e-12, (j, mu)
+                assert abs(f - want_f) < 1e-12, (j, mu)
 
     def test_half_integer_rejected(self):
         with pytest.raises(ValueError, match="integer"):

@@ -167,7 +167,7 @@ class TestRotate:
     def test_matches_expm_axes_and_interleaved_sizes(self, monkeypatch):
         # a fresh cache, and sizes in interleaved order, so that decompositions
         # are built, reused and looked up again after other sizes
-        monkeypatch.setattr(states, "_AXIS_EIGEN", states._EigenCache(states._EIGEN_CACHE_BYTES))
+        monkeypatch.setattr(states, "_GENERATOR_EIGEN", states._EigenCache(states._EIGEN_CACHE_BYTES))
         tilted = np.array([0.3, -0.5, 0.81])
         axes = [YHAT, -YHAT, XHAT, tilted / np.linalg.norm(tilted)]
         for n in (6, 13, 6, 40, 13, 6):

@@ -153,7 +153,8 @@ class TestEvolve:
 
     def test_cached_decomposition_read_only(self):
         for spec in (HamiltonianSpec(TAT, 1.0), HamiltonianSpec(OAT_TRANSVERSE, 1.0, 0.5)):
-            for arr in twist._dense_eigensystem(11, spec):
+            blocks, _ = twist._eigensystem(11, spec)
+            for arr in (arr for _, _, w, v in blocks for arr in (w, v)):
                 assert not arr.flags.writeable
 
     def test_tat_optimal_angle_locked(self):
@@ -286,7 +287,7 @@ class TestKickedTop:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(states, "eigh_tridiagonal", counting)
-        monkeypatch.setattr(states, "_AXIS_EIGEN", states._EigenCache(states._EIGEN_CACHE_BYTES))
+        monkeypatch.setattr(states, "_GENERATOR_EIGEN", states._EigenCache(states._EIGEN_CACHE_BYTES))
         res = self.traj(0.63, 12)
         assert len(res.reports) == 12
         assert calls == [(51,)]
