@@ -8,6 +8,7 @@ JSON mirrors it and SVG is a convenience quick-look chart.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -258,6 +259,10 @@ class SweepConfig:
         missing = [p for p in params if p not in self.grids]
         if missing:
             raise SweepConfigError(f"missing grids for parameters: {missing}")
+        if self.workers is not None and not (
+            isinstance(self.workers, (int, np.integer)) and self.workers >= 1
+        ):
+            raise SweepConfigError(f"workers must be a positive integer, got {self.workers!r}")
 
 
 def _parse_scalar(text: str):
@@ -272,16 +277,23 @@ def _parse_scalar(text: str):
     return text
 
 
-def _parse_grid(text: str) -> list:
-    """Grid syntax: 'a:b:count' for a linear grid, or comma-separated values."""
+def _parse_grid(name: str, text: str) -> list:
+    """Grid syntax: 'a:b:count' for a linear grid, or comma-separated values;
+    ``name`` labels the grid in error messages."""
     text = text.strip()
     if ":" in text and "," not in text:
+        bad = SweepConfigError(
+            f"bad grid {name} {text!r}; want start:stop:count with a positive integer count"
+        )
         parts = text.split(":")
         if len(parts) != 3:
-            raise SweepConfigError(f"bad grid spec {text!r}; want start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            raise bad
+        try:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise bad from None
         if count < 1:
-            raise SweepConfigError("grid count must be >= 1")
+            raise bad
         if count == 1:
             return [start]
         return list(np.linspace(start, stop, count))
@@ -306,13 +318,13 @@ def parse_sweep_config(path: str) -> SweepConfig:
             if key == "op":
                 op = _parse_scalar(value)
             elif key.startswith("grid."):
-                grids[key[5:]] = _parse_grid(value)
+                grids[key[5:]] = _parse_grid(key[5:], value)
             elif key == "format":
                 kw["out_format"] = str(_parse_scalar(value))
             elif key == "out":
                 kw["out_path"] = str(_parse_scalar(value))
             elif key == "workers":
-                kw["workers"] = int(_parse_scalar(value))
+                kw["workers"] = _parse_scalar(value)
             else:
                 raise SweepConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if op is None:
@@ -326,7 +338,7 @@ def _worker_count(requested: int | None) -> int:
         cap_n = max(1, int(cap)) if cap else None
     except ValueError:
         raise SweepConfigError(f"SQZ_THREADS must be an integer, got {cap!r}") from None
-    n = requested if requested and requested > 0 else (os.cpu_count() or 1)
+    n = requested or os.cpu_count() or 1
     if cap_n is not None:
         n = min(n, cap_n)
     return max(1, n)
@@ -470,7 +482,9 @@ def _cmd_oat(args) -> int:
 
 
 def _cmd_tat(args) -> int:
-    count = max(1, args.points)
+    count = args.points
+    if count < 1:
+        raise SweepConfigError(f"--points must be a positive integer, got {count}")
     if count == 1:
         rows = [_eval_tat(args.n, args.chi_t)]
     else:
@@ -519,7 +533,7 @@ def _cmd_lmg(args) -> int:
 
 
 def _cmd_channel(args) -> int:
-    ps = _parse_grid(args.p)
+    ps = _parse_grid("--p", args.p)
     rows = [_eval_channel(args.channel, args.n, args.theta0, float(p)) for p in ps]
     cols = ["p", "xi_S2", "xi_R2", "tilde_xi_E2", "Cr"]
     _write_rows(cols, rows, args.format, args.out, title=f"channel {args.channel}")
@@ -527,7 +541,7 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
-    phis = _parse_grid(args.phi)
+    phis = _parse_grid("--phi", args.phi)
     rows = [_eval_ramsey(args.n, args.state, args.readout, float(phi)) for phi in phis]
     cols = ["phi", "signal", "dsignal", "dphi"]
     _write_rows(cols, rows, args.format, args.out, title="ramsey")
@@ -582,7 +596,7 @@ def _cmd_husimi(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = parse_sweep_config(args.config)
     if args.workers is not None:
-        cfg.workers = args.workers
+        cfg = dataclasses.replace(cfg, workers=args.workers)
     columns, rows = sweep(cfg)
     _write_rows(columns, rows, cfg.out_format, cfg.out_path, title=f"sweep {cfg.op}")
     return EXIT_OK

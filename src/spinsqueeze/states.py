@@ -37,7 +37,6 @@ __all__ = [
     "css",
     "dicke",
     "rotate",
-    "expectation",
     "moments",
     "local_moments",
     "local_from_moments",
@@ -130,6 +129,9 @@ class CollectiveOperator:
 
 @dataclass(frozen=True)
 class OperatorSet:
+    """Dense collective operators of ``build_operators``: a reference for tests,
+    used by no computation in the package."""
+
     jx: CollectiveOperator
     jy: CollectiveOperator
     jz: CollectiveOperator
@@ -160,7 +162,11 @@ def spin_matrices(j: float) -> dict[str, np.ndarray]:
 
 
 def build_operators(n_particles: int) -> OperatorSet:
-    """Collective operators J_x, J_y, J_z, J_+, J_-, J^2 and parity for N qubits."""
+    """Collective operators J_x, J_y, J_z, J_+, J_-, J^2 and parity for N qubits.
+
+    Dense (N+1)x(N+1) references used only by tests; no computation in the
+    package builds them.
+    """
     n = _check_n(n_particles)
     mats = spin_matrices(n / 2.0)
     j2 = mats["jx"] @ mats["jx"] + mats["jy"] @ mats["jy"] + mats["jz"] @ mats["jz"]
@@ -393,12 +399,6 @@ def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
         return SymmetricState(n, out)
     w, v, gauge = _axis_eigensystem(n, (float(ax[0]), float(ax[1]), float(ax[2])))
     return SymmetricState(n, _propagate(c, gauge, [(0, 1, w, v)], angle))
-
-
-def expectation(state: SymmetricState, operator) -> complex:
-    mat = operator.matrix if isinstance(operator, CollectiveOperator) else np.asarray(operator)
-    c = state.amplitudes
-    return complex(np.vdot(c, mat @ c))
 
 
 @dataclass(frozen=True)

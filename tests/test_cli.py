@@ -1,8 +1,11 @@
 import json
 
 import numpy as np
+import pytest
+import scipy.linalg
 
 import spinsqueeze as sq
+from spinsqueeze import states
 from spinsqueeze.cli import run_cli
 
 
@@ -222,6 +225,28 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--config", cfg)
         assert code == 2
 
+    def test_tat_sweep_solves_two_blocks_once(self, tmp_path, capsys, monkeypatch):
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        calls = []
+        tridiagonal = states.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        monkeypatch.setattr(states, "eigh_tridiagonal", counting)
+        monkeypatch.setattr(states, "_GENERATOR_EIGEN", states._EigenCache(states._EIGEN_CACHE_BYTES))
+        cfg = self.write_config(tmp_path, "op = tat\ngrid.n = 40\ngrid.chi_t = 0.01:0.4:16\nworkers = 1\n")
+        code, out, _ = run(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        statuses = [ln.rsplit(",", 1)[-1] for ln in out.strip().splitlines()[1:]]
+        assert statuses == ["ok"] * 16
+        assert sorted(calls) == [20, 21]  # the odd and even parity blocks of N = 40
+
     def test_per_point_failure_flagged(self, tmp_path, capsys):
         # theta outside [0, pi] in the metrics path is fine for oat (closed
         # forms accept any angle); provoke a failure through lmg gamma
@@ -306,3 +331,36 @@ class TestLmgCommand:
             assert code == 2
             assert out == ""
             assert "COUNT" in err
+
+
+_SWEEP_BASE = "op = oat\ngrid.n = 12\ngrid.theta = 0.1,0.2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [
+        pytest.param(["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p", "0:1:2.7"],
+                     None, "--p", id="channel-p-count-2.7"),
+        pytest.param(["ramsey", "--n", "8", "--phi", "0:1:x"], None, "--phi", id="ramsey-phi-count-x"),
+        pytest.param([], "op = oat\ngrid.n = 12\ngrid.theta = 0:1:2.5\n", "theta",
+                     id="config-grid-count-2.5"),
+        pytest.param(["tat", "--n", "8", "--chi-t", "0.1", "--points", "-3"], None, "--points",
+                     id="tat-points--3"),
+        pytest.param(["tat", "--n", "8", "--chi-t", "0.1", "--points", "0"], None, "--points",
+                     id="tat-points-0"),
+        pytest.param([], _SWEEP_BASE + "workers = 2.5\n", "workers", id="config-workers-2.5"),
+        pytest.param([], _SWEEP_BASE + "workers = abc\n", "workers", id="config-workers-abc"),
+        pytest.param([], _SWEEP_BASE + "workers = 0\n", "workers", id="config-workers-0"),
+        pytest.param([], _SWEEP_BASE + "workers = -3\n", "workers", id="config-workers--3"),
+        pytest.param(["--workers", "0"], _SWEEP_BASE, "workers", id="sweep-workers-flag-0"),
+    ],
+)
+def test_bad_count_is_usage_error(tmp_path, capsys, argv, config, name):
+    if config is not None:
+        path = tmp_path / "sweep.cfg"
+        path.write_text(config)
+        argv = ["sweep", "--config", str(path), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert name in err
