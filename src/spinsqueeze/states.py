@@ -304,11 +304,10 @@ def _propagate(c: np.ndarray, gauge: np.ndarray, blocks, t: float) -> np.ndarray
     real orthogonal v acting on the Dicke indices start::stride.
     """
     d = np.conj(gauge) * c
-    out = np.empty_like(d)
-    for start, stride, w, v in blocks:
+    for start, stride, w, v in blocks:  # disjoint index sets, so d is updated in place
         tmp = _real_matmul(v.T, d[start::stride])
-        out[start::stride] = _real_matmul(v, np.exp(-1j * t * w) * tmp)
-    return gauge * out
+        d[start::stride] = _real_matmul(v, np.exp(-1j * t * w) * tmp)
+    return gauge * d
 
 
 def _axis_eigensystem(n: int, axis: tuple) -> tuple:
