@@ -580,15 +580,40 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+def _grid_csv(thetas, phis, q) -> str:
+    """theta,phi,q CSV of a theta-major product grid, byte for byte what
+    ``_rows_to_csv`` writes for the same rows, with each distinct angle
+    formatted once."""
+    phi_cells = [fmt_float(p) for p in phis.tolist()]
+    q_cells = iter(q.tolist())
+    lines = [
+        f"{theta_cell},{phi_cell},{next(q_cells):.17g}\n"
+        for theta_cell in map(fmt_float, thetas.tolist())
+        for phi_cell in phi_cells
+    ]
+    return "theta,phi,q\n" + "".join(lines)
+
+
 def _cmd_husimi(args) -> int:
+    for flag, value in (("--theta", args.theta), ("--phi", args.phi),
+                        ("--oat-chi-t", args.oat_chi_t)):
+        if value is not None and not math.isfinite(value):
+            raise SweepConfigError(f"{flag} must be finite, got {value}")
+    for flag, count in (("--n-theta", args.n_theta), ("--n-phi", args.n_phi)):
+        if count < 1:
+            raise SweepConfigError(f"{flag} must be a positive integer, got {count}")
     psi = states.css(args.n, args.theta, args.phi)
     if args.oat_chi_t is not None:
         psi = twist.evolve(psi, twist.HamiltonianSpec(twist.OAT_X, 1.0), args.oat_chi_t)
     thetas = np.linspace(0.0, math.pi, args.n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, args.n_phi, endpoint=False)
-    pts = [(t, p) for t in thetas for p in phis]
-    q = states.husimi_q(psi, pts)
-    rows = [{"theta": t, "phi": p, "q": float(v)} for (t, p), v in zip(pts, q)]
+    theta_col, phi_col = np.repeat(thetas, args.n_phi), np.tile(phis, args.n_theta)
+    q = states.husimi_q(psi, np.column_stack([theta_col, phi_col]))
+    if args.format == "csv":
+        _emit(_grid_csv(thetas, phis, q), args.out)
+        return EXIT_OK
+    rows = [{"theta": t, "phi": p, "q": v}
+            for t, p, v in zip(theta_col.tolist(), phi_col.tolist(), q.tolist())]
     _write_rows(["theta", "phi", "q"], rows, args.format, args.out, title="husimi")
     return EXIT_OK
 

@@ -5,6 +5,12 @@ The two-qubit reduced density matrix of a parity + exchange-symmetric state
 is block diagonal in the basis {|00>, |11>, |01>, |10>}; its four independent
 elements follow directly from collective moments, which is what experiments
 measure.
+
+The three-qubit inequalities need third moments along frame directions. J_x,
+J_y and J_z reach at most one Dicke index away, so the 27 entries
+T_abc = <J_a J_b J_c> are inner products <J_a c | J_b J_c c> of twelve O(N)
+ladder applications; every direction triad is then a contraction of T with
+three frame vectors, and no (N+1)x(N+1) matrix is built.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .states import MomentSet, SymmetricState, moments, spin_matrices
+from .states import MomentSet, SymmetricState, _apply_jm, _apply_jp, _moment_tables, moments
 from .metrics import mean_spin_direction, min_transverse_variance, transverse_frame
 
 __all__ = [
@@ -190,9 +196,12 @@ class CriteriaReport:
     """Entanglement criteria margins; negative margin = violation = detected.
 
     Margins carry the natural units of each inequality (see the module docs).
-    The booleans apply a -1e-12 guard so separable states that saturate an
-    inequality exactly do not flicker into "violated" through rounding; the
-    spin-j guard is 1e-12 times the largest second moment instead.
+    The booleans apply a guard so separable states that saturate an
+    inequality exactly do not flicker into "violated" through rounding. It
+    is 1e-12 times the size of the margin's terms: max(1, N/2) for the
+    two-qubit and singlet margins, max(1, (N/2)^3) for the three
+    third-moment margins (GHZ and both three-qubit inequalities), the largest
+    second moment for the spin-j margin, and 1 for the two-mode margin.
     """
 
     two_qubit_violated: bool
@@ -265,6 +274,54 @@ def _spin_j_criterion(mset: MomentSet) -> tuple[float, bool]:
     return margin, margin < -tol
 
 
+def _spin_components(x: np.ndarray, n: int) -> np.ndarray:
+    """(J_x x, J_y x, J_z x) stacked on a new first axis; x is one Dicke
+    vector or a stack of them along its last axis."""
+    up, down = _apply_jp(x, n), _apply_jm(x, n)
+    return np.stack([(up + down) / 2.0, (up - down) / 2.0j, _moment_tables(n)[0] * x])
+
+
+def _third_moments(state: SymmetricState) -> np.ndarray:
+    """Re <J_a J_b J_c> for a, b, c in (x, y, z), as a 3x3x3 array.
+
+    u_c = J_c c and J_b u_c take twelve banded ladder applications, and
+    T_abc = <u_a | J_b u_c> since J_a is Hermitian. Every triad the criteria
+    use (J_1^3, J_2 J_1 J_2, ...) is Hermitian, so only the real part counts.
+    """
+    n = state.n_particles
+    u = _spin_components(np.asarray(state.amplitudes, dtype=complex), n)
+    uu = _spin_components(u, n).reshape(9, n + 1)
+    return (u.conj() @ uu.T).real.reshape(3, 3, 3)
+
+
+def _third_moment_margins(tensor: np.ndarray, mset: MomentSet, frame) -> tuple:
+    """(ghz3, threeq_a, threeq_b) margins, each the smallest over the six
+    orderings of the orthonormal ``frame`` rows as directions 1, 2, 3."""
+    n = mset.n_particles
+    f = np.asarray(frame, dtype=float)
+    t = np.einsum("abc,ia,jb,kc->ijk", tensor, f, f, f).tolist()
+    sq = np.einsum("ia,ab,ib->i", f, mset.corr, f).tolist()
+    mean = (f @ mset.mean).tolist()
+    ghz3 = threeq_a = threeq_b = math.inf
+    for p1, p2, p3 in itertools.permutations(range(3)):
+        j1_cub, j3_cub = t[p1][p1][p1], t[p3][p3][p3]
+        j212, j232, j131 = t[p2][p1][p2], t[p2][p3][p2], t[p1][p3][p1]
+        j1_sq, j2_sq, j3_sq = sq[p1], sq[p2], sq[p3]
+        common = -j1_cub / 3.0 + j212 - (n - 2) / 2.0 * j3_sq + mean[p1] / 3.0
+        ghz3 = min(ghz3, common + n * (n - 1) * (5 * n - 2) / 24.0)
+        threeq_b = min(threeq_b, common + n**2 * (n - 2) / 8.0)
+        threeq_a = min(
+            threeq_a,
+            j3_cub
+            - 2.0 * j232
+            - 2.0 * j131
+            - (n - 2) / 2.0 * (2.0 * j1_sq + 2.0 * j2_sq - j3_sq)
+            - (n**2 - 4 * n + 8) / 4.0 * mean[p3]
+            + n * (n - 2) * (13 * n - 4) / 24.0,
+        )
+    return ghz3, threeq_a, threeq_b
+
+
 def evaluate_criteria(
     state: SymmetricState, aux: Optional[TwoModeMoments] = None
 ) -> CriteriaReport:
@@ -277,17 +334,6 @@ def evaluate_criteria(
     """
     n = state.n_particles
     mset = moments(state)
-    mats = spin_matrices(n / 2.0)
-    c = state.amplitudes
-
-    def jmat(direction):
-        return (
-            direction[0] * mats["jx"] + direction[1] * mats["jy"] + direction[2] * mats["jz"]
-        )
-
-    def expect(matrix) -> float:
-        return float(np.vdot(c, matrix @ c).real)
-
     frames = _candidate_frames(mset)
     directions = [row for f in frames for row in f]
 
@@ -300,47 +346,11 @@ def evaluate_criteria(
         margin = 1.0 - 4.0 * mean**2 / n**2 - 4.0 * var / n
         two_qubit_margin = min(two_qubit_margin, margin)
 
-    # three-qubit inequalities require third moments along frame triads
-    ghz3_margin = math.inf
-    threeq_a_margin = math.inf
-    threeq_b_margin = math.inf
-    for frame in frames:
-        for perm in itertools.permutations(range(3)):
-            j1 = jmat(frame[perm[0]])
-            j2 = jmat(frame[perm[1]])
-            j3 = jmat(frame[perm[2]])
-            j1_m, j3_m = expect(j1), expect(j3)
-            j1_sq, j2_sq, j3_sq = expect(j1 @ j1), expect(j2 @ j2), expect(j3 @ j3)
-            j1_cub = expect(j1 @ j1 @ j1)
-            j3_cub = expect(j3 @ j3 @ j3)
-            j212 = expect(j2 @ j1 @ j2)
-            j232 = expect(j2 @ j3 @ j2)
-            j131 = expect(j1 @ j3 @ j1)
-            ghz3 = (
-                -j1_cub / 3.0
-                + j212
-                - (n - 2) / 2.0 * j3_sq
-                + j1_m / 3.0
-                + n * (n - 1) * (5 * n - 2) / 24.0
-            )
-            th_a = (
-                j3_cub
-                - 2.0 * j232
-                - 2.0 * j131
-                - (n - 2) / 2.0 * (2.0 * j1_sq + 2.0 * j2_sq - j3_sq)
-                - (n**2 - 4 * n + 8) / 4.0 * j3_m
-                + n * (n - 2) * (13 * n - 4) / 24.0
-            )
-            th_b = (
-                -j1_cub / 3.0
-                + j212
-                - (n - 2) / 2.0 * j3_sq
-                + j1_m / 3.0
-                + n**2 * (n - 2) / 8.0
-            )
-            ghz3_margin = min(ghz3_margin, ghz3)
-            threeq_a_margin = min(threeq_a_margin, th_a)
-            threeq_b_margin = min(threeq_b_margin, th_b)
+    # three-qubit inequalities: third moments along every frame triad
+    tensor = _third_moments(state)
+    ghz3_margin, threeq_a_margin, threeq_b_margin = (
+        min(col) for col in zip(*(_third_moment_margins(tensor, mset, f) for f in frames))
+    )
 
     singlet_xi2 = float(np.trace(mset.cov)) / (n / 2.0)
 
@@ -353,18 +363,24 @@ def evaluate_criteria(
         tm_margin = aux.var_jz_plus + aux.var_jy_minus - aux.mean_jx_plus
         tm_violated = tm_margin < -_VIOLATION_TOL
 
-    hit = lambda margin: margin < -_VIOLATION_TOL
+    # the guards grow with the rounding of each margin: the two-qubit and
+    # singlet margins are second moments (up to N^2/4) divided by N/2, the
+    # third-moment margins differences of terms up to (N/2)^3
+    def hit(margin: float, scale: float) -> bool:
+        return margin < -_VIOLATION_TOL * max(1.0, scale)
+
+    half = n / 2.0
     return CriteriaReport(
-        two_qubit_violated=hit(two_qubit_margin),
+        two_qubit_violated=hit(two_qubit_margin, half),
         two_qubit_margin=two_qubit_margin,
-        ghz3_violated=hit(ghz3_margin),
+        ghz3_violated=hit(ghz3_margin, half**3),
         ghz3_margin=ghz3_margin,
-        threeq_violated_a=hit(threeq_a_margin),
+        threeq_violated_a=hit(threeq_a_margin, half**3),
         threeq_margin_a=threeq_a_margin,
-        threeq_violated_b=hit(threeq_b_margin),
+        threeq_violated_b=hit(threeq_b_margin, half**3),
         threeq_margin_b=threeq_b_margin,
         singlet_xi2=singlet_xi2,
-        singlet_violated=hit(singlet_xi2 - 1.0),
+        singlet_violated=hit(singlet_xi2 - 1.0, half),
         spin_j_Fj_violated=fj_violated,
         spin_j_Fj_margin=fj_margin,
         two_mode_violated=tm_violated,

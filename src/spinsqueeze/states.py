@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -85,6 +86,9 @@ class SymmetricState:
                 f"amplitude vector has length {amps.shape}, expected ({n + 1},)"
             )
         norm2 = float(np.vdot(amps, amps).real)
+        # a NaN amplitude makes norm2 NaN, which no comparison rejects
+        if not math.isfinite(norm2) and not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm^2 = {norm2!r} is not 1 within tolerance")
         amps = amps.copy()
@@ -95,6 +99,8 @@ class SymmetricState:
     def normalized(cls, n_particles: int, amplitudes: np.ndarray) -> "SymmetricState":
         amps = np.asarray(amplitudes, dtype=complex)
         norm = np.linalg.norm(amps)
+        if not math.isfinite(norm) and not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(n_particles, amps / norm)
@@ -145,6 +151,8 @@ def spin_matrices(j: float) -> dict[str, np.ndarray]:
     """Angular momentum matrices for a single spin of size j (dimension 2j+1).
 
     Basis order is m = +j down to -j, matching the Dicke-state storage order.
+    Dense (2j+1)x(2j+1) references for tests and ``build_operators``; no
+    computation in the package uses them.
     """
     dim = int(round(2 * j)) + 1
     if abs(2 * j - round(2 * j)) > 1e-9 or j <= 0:
@@ -227,16 +235,18 @@ def dicke(n_particles: int, m: float) -> SymmetricState:
 
 
 def _apply_jp(c: np.ndarray, n: int) -> np.ndarray:
-    f = _ladder_plus_coeff(n / 2.0, m_values(n))
+    """J_+ applied along the last axis of c (one or a stack of vectors)."""
+    f = _moment_tables(n)[2]
     out = np.zeros_like(c)
-    out[:-1] = f[1:] * c[1:]
+    out[..., :-1] = f * c[..., 1:]
     return out
 
 
 def _apply_jm(c: np.ndarray, n: int) -> np.ndarray:
-    f = _ladder_plus_coeff(n / 2.0, m_values(n))
+    """J_- applied along the last axis of c (one or a stack of vectors)."""
+    f = _moment_tables(n)[2]
     out = np.zeros_like(c)
-    out[1:] = f[1:] * c[:-1]
+    out[..., 1:] = f * c[..., :-1]
     return out
 
 
@@ -567,27 +577,42 @@ def collective_from_local(lm: LocalMoments) -> MomentSet:
     return MomentSet.from_mean_corr(n, mean, corr)
 
 
+_HUSIMI_CHUNK = 1024  # grid points per contraction on a scattered grid
+
+
 def husimi_q(state: SymmetricState, grid) -> np.ndarray:
     """Husimi function Q(theta0, phi0) = |<theta0, phi0 | state>|^2 on a grid.
 
-    ``grid`` is a sequence of (theta0, phi0) pairs; an empty grid yields an
-    empty array.
+    ``grid`` is a (P, 2) array or a sequence of (theta0, phi0) pairs; an empty
+    grid yields an empty array.
+
+    The overlap factorises over the angles: sum_k A_k(theta0) e^{-i k phi0}
+    with A_k(theta0) = |<k|theta0, 0>| c_k. One table of A over the distinct
+    polar angles (magnitudes in log space) and one of the phases over the
+    distinct azimuths serve every point. When the grid is no larger than the
+    product of its distinct angles, as every product grid is, Q is one matrix
+    product of the two tables; otherwise each point contracts its own pair of
+    table rows, so a scattered grid never builds the product.
     """
-    pts = np.asarray(list(grid), dtype=float)
+    pts = np.asarray(grid, dtype=float)
     if pts.size == 0:
         return np.zeros(0)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("grid must be a sequence of (theta, phi) pairs")
+    if not np.isfinite(pts).all():
+        raise ValueError("grid angles must be finite")
     th, ph = pts[:, 0], pts[:, 1]
     if np.any((th < -1e-12) | (th > np.pi + 1e-12)):
         raise ValueError("grid polar angles must lie in [0, pi]")
+    th_u, th_idx = np.unique(th, return_inverse=True)
+    ph_u, ph_idx = np.unique(ph, return_inverse=True)
     n = state.n_particles
     j = n / 2.0
     m = m_values(n)
     k = j - m
     logb = 0.5 * _log_binom(n, k)
-    c_half = np.cos(th / 2.0)[:, None]
-    s_half = np.sin(th / 2.0)[:, None]
+    c_half = np.cos(th_u / 2.0)[:, None]
+    s_half = np.sin(th_u / 2.0)[:, None]
     exp_c = (j + m)[None, :]
     exp_s = k[None, :]
     zero = ((c_half == 0.0) & (exp_c > 0)) | ((s_half == 0.0) & (exp_s > 0))
@@ -596,9 +621,21 @@ def husimi_q(state: SymmetricState, grid) -> np.ndarray:
         + np.where(exp_c > 0, exp_c * np.log(np.maximum(c_half, 1e-300)), 0.0)
         + np.where(exp_s > 0, exp_s * np.log(np.maximum(s_half, 1e-300)), 0.0)
     )
-    mag = np.where(zero, 0.0, np.exp(log_mag))
-    phase = np.exp(-1j * k[None, :] * ph[:, None])  # conj of the CSS phases
-    overlap = (mag * phase) @ state.amplitudes
+    amp = np.where(zero, 0.0, np.exp(log_mag)) * state.amplitudes  # n_theta x (N+1)
+    phase = np.multiply.outer(-1j * k, ph_u)  # (N+1) x n_phi, conj CSS phases
+    np.exp(phase, out=phase)
+    if th_u.size * ph_u.size <= th.size:
+        # the sum over k runs in blocks of about sqrt(N) terms, so no rounding
+        # chain is longer than about 2 sqrt(N) (one long BLAS chain is not)
+        step = math.isqrt(n) + 1
+        table = sum(amp[:, i : i + step] @ phase[i : i + step] for i in range(0, n + 1, step))
+        overlap = table[th_idx, ph_idx]
+    else:
+        # row by row, a chunk of points at a time: no copy of either table
+        overlap = np.empty(th.size, dtype=complex)
+        for i in range(0, th.size, _HUSIMI_CHUNK):
+            rows = slice(i, i + _HUSIMI_CHUNK)
+            overlap[rows] = (amp[th_idx[rows]] * phase.T[ph_idx[rows]]).sum(axis=1)
     return np.abs(overlap) ** 2
 
 

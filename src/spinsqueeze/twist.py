@@ -72,6 +72,8 @@ class HamiltonianSpec:
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
         if not math.isfinite(self.chi):
             raise ValueError("coupling chi must be finite")
+        if not math.isfinite(self.field_b):
+            raise ValueError("field_b must be finite")
         if self.kind != OAT_TRANSVERSE and self.field_b != 0.0:
             raise ValueError("transverse field only allowed for kind 'oat_transverse'")
 

@@ -143,3 +143,111 @@ def min_direction_scan(fn, coarse: int = 200, zooms: int = 3) -> float:
         t_lo, t_hi = best[1] - 2 * dt, best[1] + 2 * dt
         p_lo, p_hi = best[2] - 2 * dp, best[2] + 2 * dp
     return best[0]
+
+
+def dense_triad_margins(state, frame):
+    """(ghz3, threeq_a, threeq_b) margins on one frame from dense spin
+    matrices and explicit operator products, each the smallest over the six
+    orderings of the frame rows: the reference for the banded third moments.
+    """
+    import itertools
+
+    from spinsqueeze.states import spin_matrices
+
+    n = state.n_particles
+    mats = spin_matrices(n / 2.0)
+    c = state.amplitudes
+
+    def jmat(direction):
+        return (
+            direction[0] * mats["jx"] + direction[1] * mats["jy"] + direction[2] * mats["jz"]
+        )
+
+    def expect(matrix) -> float:
+        return float(np.vdot(c, matrix @ c).real)
+
+    ghz3_margin = threeq_a_margin = threeq_b_margin = math.inf
+    for perm in itertools.permutations(range(3)):
+        j1 = jmat(frame[perm[0]])
+        j2 = jmat(frame[perm[1]])
+        j3 = jmat(frame[perm[2]])
+        j1_m, j3_m = expect(j1), expect(j3)
+        j1_sq, j2_sq, j3_sq = expect(j1 @ j1), expect(j2 @ j2), expect(j3 @ j3)
+        j1_cub = expect(j1 @ j1 @ j1)
+        j3_cub = expect(j3 @ j3 @ j3)
+        j212 = expect(j2 @ j1 @ j2)
+        j232 = expect(j2 @ j3 @ j2)
+        j131 = expect(j1 @ j3 @ j1)
+        ghz3 = (
+            -j1_cub / 3.0
+            + j212
+            - (n - 2) / 2.0 * j3_sq
+            + j1_m / 3.0
+            + n * (n - 1) * (5 * n - 2) / 24.0
+        )
+        th_a = (
+            j3_cub
+            - 2.0 * j232
+            - 2.0 * j131
+            - (n - 2) / 2.0 * (2.0 * j1_sq + 2.0 * j2_sq - j3_sq)
+            - (n**2 - 4 * n + 8) / 4.0 * j3_m
+            + n * (n - 2) * (13 * n - 4) / 24.0
+        )
+        th_b = (
+            -j1_cub / 3.0
+            + j212
+            - (n - 2) / 2.0 * j3_sq
+            + j1_m / 3.0
+            + n**2 * (n - 2) / 8.0
+        )
+        ghz3_margin = min(ghz3_margin, ghz3)
+        threeq_a_margin = min(threeq_a_margin, th_a)
+        threeq_b_margin = min(threeq_b_margin, th_b)
+    return ghz3_margin, threeq_a_margin, threeq_b_margin
+
+
+def dense_two_qubit_margin(state, directions) -> float:
+    """Smallest 1 - 4<J_n>^2/N^2 - 4 (Delta J_n)^2/N over ``directions``,
+    from dense spin matrices."""
+    from spinsqueeze.states import spin_matrices
+
+    n = state.n_particles
+    mats = spin_matrices(n / 2.0)
+    c = state.amplitudes
+    best = math.inf
+    for d in directions:
+        j = d[0] * mats["jx"] + d[1] * mats["jy"] + d[2] * mats["jz"]
+        mean = float(np.vdot(c, j @ c).real)
+        var = float(np.vdot(c, j @ j @ c).real) - mean**2
+        best = min(best, 1.0 - 4.0 * mean**2 / n**2 - 4.0 * var / n)
+    return best
+
+
+def husimi_per_point(state, grid) -> np.ndarray:
+    """Husimi Q by the per-point log-space formula: one coherent-state row
+    of magnitudes and phases per grid point, then one overlap each."""
+    from scipy.special import gammaln
+
+    pts = np.asarray(list(grid), dtype=float)
+    if pts.size == 0:
+        return np.zeros(0)
+    th, ph = pts[:, 0], pts[:, 1]
+    n = state.n_particles
+    j = n / 2.0
+    k = np.arange(n + 1, dtype=float)
+    m = j - k
+    logb = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    c_half = np.cos(th / 2.0)[:, None]
+    s_half = np.sin(th / 2.0)[:, None]
+    exp_c = (j + m)[None, :]
+    exp_s = k[None, :]
+    zero = ((c_half == 0.0) & (exp_c > 0)) | ((s_half == 0.0) & (exp_s > 0))
+    log_mag = (
+        logb[None, :]
+        + np.where(exp_c > 0, exp_c * np.log(np.maximum(c_half, 1e-300)), 0.0)
+        + np.where(exp_s > 0, exp_s * np.log(np.maximum(s_half, 1e-300)), 0.0)
+    )
+    mag = np.where(zero, 0.0, np.exp(log_mag))
+    phase = np.exp(-1j * k[None, :] * ph[:, None])
+    overlap = (mag * phase) @ state.amplitudes
+    return np.abs(overlap) ** 2

@@ -315,6 +315,61 @@ class TestHusimiCommand:
         assert all(0.0 <= v <= 1.0 for v in q)
 
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--n", "120", "--oat-chi-t", "0.05"],
+            ["--n", "37", "--theta", "1.1", "--phi", "0.4", "--n-theta", "7", "--n-phi", "5"],
+            ["--n", "5", "--n-theta", "1", "--n-phi", "1"],
+        ],
+    )
+    def test_csv_matches_row_writer(self, tmp_path, capsys, extra):
+        from spinsqueeze import cli, twist
+
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            assert run(capsys, "husimi", *extra, "--out", str(path))[0] == 0
+        got = paths[0].read_bytes()
+        assert got == paths[1].read_bytes()  # repeated runs are byte-identical
+        args = cli._build_parser().parse_args(["husimi", *extra])
+        psi = sq.css(args.n, args.theta, args.phi)
+        if args.oat_chi_t is not None:
+            psi = twist.evolve(psi, twist.HamiltonianSpec(twist.OAT_X, 1.0), args.oat_chi_t)
+        thetas = np.linspace(0.0, np.pi, args.n_theta)
+        phis = np.linspace(0.0, 2.0 * np.pi, args.n_phi, endpoint=False)
+        pts = [(t, p) for t in thetas for p in phis]
+        q = states.husimi_q(psi, pts)
+        rows = [{"theta": t, "phi": p, "q": float(v)} for (t, p), v in zip(pts, q)]
+        assert got == cli._rows_to_csv(["theta", "phi", "q"], rows).encode()
+        _, out, _ = run(capsys, "husimi", *extra, "--format", "json")
+        items = json.loads(out)
+        assert [(r["theta"], r["phi"], r["q"]) for r in items] == [
+            (r["theta"], r["phi"], r["q"]) for r in rows
+        ]
+
+    def test_large_n_without_dense_arrays(self, capsys):
+        # per-point rows of coherent-state amplitudes would be 48 x 10001
+        # complex numbers here; no time budget
+        import tracemalloc
+
+        n, n_theta, n_phi = 10**4, 6, 8
+        argv = ["husimi", "--n", str(n), "--n-theta", str(n_theta), "--n-phi", str(n_phi)]
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert peak < n_theta * n_phi * (n + 1) * 16
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + n_theta * n_phi
+        q = np.array([float(ln.split(",")[2]) for ln in lines[1:]])
+        # the north-pole coherent state: Q = cos(theta/2)^(2N)
+        assert np.all(np.abs(q[:n_phi] - 1.0) < 1e-12) and np.all(q[n_phi:] < 1e-300)
+
+
 class TestLmgCommand:
     def test_h_grid(self, capsys):
         code, out, _ = run(
@@ -360,6 +415,29 @@ def test_bad_count_is_usage_error(tmp_path, capsys, argv, config, name):
         path = tmp_path / "sweep.cfg"
         path.write_text(config)
         argv = ["sweep", "--config", str(path), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert name in err
+
+
+_HUSIMI = ["husimi", "--n", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(_HUSIMI + ["--phi", "nan"], "--phi", id="phi-nan"),
+        pytest.param(_HUSIMI + ["--theta", "inf"], "--theta", id="theta-inf"),
+        pytest.param(_HUSIMI + ["--theta", "-inf"], "--theta", id="theta--inf"),
+        pytest.param(_HUSIMI + ["--oat-chi-t", "nan"], "--oat-chi-t", id="oat-chi-t-nan"),
+        pytest.param(_HUSIMI + ["--oat-chi-t", "inf"], "--oat-chi-t", id="oat-chi-t-inf"),
+        pytest.param(_HUSIMI + ["--n-theta", "0"], "--n-theta", id="n-theta-0"),
+        pytest.param(_HUSIMI + ["--n-phi", "-2"], "--n-phi", id="n-phi--2"),
+        pytest.param(_HUSIMI + ["--format", "json", "--n-phi", "0"], "--n-phi", id="json-n-phi-0"),
+    ],
+)
+def test_bad_husimi_input_is_usage_error(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 import spinsqueeze as sq
+import spinsqueeze.entangle
+import spinsqueeze.states
 from spinsqueeze.entangle import (
     TwoModeMoments,
     TwoQubitRDM,
+    _candidate_frames,
     _spin_j_criterion,
+    _third_moment_margins,
+    _third_moments,
     concurrence_general,
     concurrence_symmetric,
     evaluate_criteria,
@@ -17,7 +22,13 @@ from spinsqueeze.entangle import (
 )
 from spinsqueeze.metrics import compute_report
 
-from oracles import dicke_to_full, min_direction_scan, rdm2_standard
+from oracles import (
+    dense_triad_margins,
+    dense_two_qubit_margin,
+    dicke_to_full,
+    min_direction_scan,
+    rdm2_standard,
+)
 
 
 def random_state(n, seed):
@@ -178,21 +189,23 @@ class TestCriteria:
         assert not rep.spin_j_Fj_violated
         assert rep.two_mode_violated is None
 
-    @pytest.mark.parametrize("n", [150, 200])
+    @pytest.mark.parametrize("n", [60, 120, 150, 200])
     def test_css_directions_not_flagged_at_large_n(self, n):
         # a coherent state saturates the spin-j bound, margin exactly 0; its
-        # rounding grows like eps N^2, beyond a fixed 1e-12 guard
+        # rounding grows like eps N^2, beyond a fixed 1e-12 guard. The
+        # three-qubit margin b is exactly 0 too, with rounding like eps N^3
         rng = np.random.default_rng(n)
-        near_zero = []
+        near_zero = 0
         for _ in range(200):
             st = sq.css(n, rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
             margin, violated = _spin_j_criterion(sq.moments(st))
             assert abs(margin) < 1e-13 * n * n
             assert not violated
-            if margin < -1e-12:
-                near_zero.append(st)
-        for st in near_zero[:3]:  # the full report agrees where a fixed guard fired
-            assert not evaluate_criteria(st).spin_j_Fj_violated
+            rep = evaluate_criteria(st).to_dict()
+            fired = [k for k, v in rep.items() if "violated" in k and v]
+            assert not fired
+            near_zero += rep["threeq_margin_b"] < -1e-12  # where a fixed guard fires
+        assert near_zero > 0  # the rounding the scaled guard absorbs is there
         squeezed = sq.oat_state(n, sq.optimal_oat(n).theta_star)
         rep = evaluate_criteria(squeezed)
         assert rep.spin_j_Fj_violated and rep.spin_j_Fj_margin < -1.0
@@ -225,6 +238,73 @@ class TestCriteria:
         text = evaluate_criteria(sq.css(4, 1.0, 0.0)).to_json()
         assert '"two_qubit_margin"' in text
         assert '"two_mode_margin": null' in text
+
+
+class TestThirdMoments:
+    def test_margins_match_dense_triads(self, monkeypatch):
+        # random complex states (no parity symmetry), sizes interleaved so
+        # cached and fresh per-N tables alternate
+        monkeypatch.setattr(spinsqueeze.states, "_MOMENT_TABLES", spinsqueeze.states._EigenCache(4 * 2**20))
+        worst = 0.0
+        for seed, n in enumerate((2, 37, 3, 120, 7, 2, 37, 3, 120, 7)):
+            st = random_state(n, 500 + seed)
+            mset = sq.moments(st)
+            frames = _candidate_frames(mset)
+            assert len(frames) == 2  # coordinate axes and the MSD frame
+            scale = max(1.0, (n / 2.0) ** 3)
+            tensor = _third_moments(st)
+            got_frames = [_third_moment_margins(tensor, mset, f) for f in frames]
+            want_frames = [dense_triad_margins(st, f) for f in frames]
+            for got, want in zip(got_frames, want_frames):
+                worst = max(worst, max(abs(g - w) for g, w in zip(got, want)) / scale)
+            rep = evaluate_criteria(st)
+            want = [min(col) for col in zip(*want_frames)]
+            got = [rep.ghz3_margin, rep.threeq_margin_a, rep.threeq_margin_b]
+            worst = max(worst, max(abs(g - w) for g, w in zip(got, want)) / scale)
+            directions = [row for f in frames for row in f]
+            assert abs(rep.two_qubit_margin - dense_two_qubit_margin(st, directions)) < 1e-12
+        assert worst < 1e-14
+
+    def test_tensor_matches_dense_products(self):
+        for n in (1, 2, 9, 40):
+            st = random_state(n, 700 + n)
+            mats = sq.spin_matrices(n / 2.0)
+            ops = [mats["jx"], mats["jy"], mats["jz"]]
+            c = st.amplitudes
+            want = np.array(
+                [[[np.vdot(c, a @ b @ cc @ c).real for cc in ops] for b in ops] for a in ops]
+            )
+            assert np.max(np.abs(_third_moments(st) - want)) < 1e-14 * max(1.0, n**3)
+
+
+class TestNoDenseMatrices:
+    def test_entangle_does_not_use_spin_matrices(self, monkeypatch):
+        assert not hasattr(spinsqueeze.entangle, "spin_matrices")
+        st = sq.oat_state(12, 0.3)
+        want = evaluate_criteria(st).to_dict()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("dense spin matrices built")
+
+        monkeypatch.setattr(spinsqueeze.states, "spin_matrices", refuse)
+        monkeypatch.setattr(sq, "spin_matrices", refuse)
+        assert evaluate_criteria(st).to_dict() == want
+
+    def test_criteria_at_n_ten_thousand(self):
+        # a dense (N+1)^2 complex matrix would take 1.6 GB here; no time budget
+        import tracemalloc
+
+        n = 10**4
+        st = sq.css(n, 1.1, 0.4)
+        tracemalloc.start()
+        try:
+            rep = evaluate_criteria(st).to_dict()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert not [k for k, v in rep.items() if "violated" in k and v]
+        assert abs(rep["spin_j_Fj_margin"]) < 1e-13 * n * n
 
 
 class TestSqueezingEntanglementEquivalence:

@@ -210,6 +210,11 @@ class TestExtremeSqueezing:
         assert abs(x + 1.0) < 1e-6
         assert abs(f - 0.5) < 1e-6
 
+    @pytest.mark.parametrize("mu_grid", [[math.nan], [math.inf], [0.5, -math.inf]])
+    def test_non_finite_mu_rejected(self, mu_grid):
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            extreme_squeezing_curve(2, mu_grid)
+
     def test_mu_zero_minimizes_variance_alone(self):
         j = 3
         pts = extreme_squeezing_curve(j, [0.0])

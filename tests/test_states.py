@@ -8,7 +8,13 @@ import spinsqueeze as sq
 from spinsqueeze import states
 from spinsqueeze.states import gauss_sphere_grid, m_values
 
-from oracles import dicke_to_full, full_mean_corr, local_from_rdm2, rdm2_standard
+from oracles import (
+    dicke_to_full,
+    full_mean_corr,
+    husimi_per_point,
+    local_from_rdm2,
+    rdm2_standard,
+)
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -325,6 +331,49 @@ class TestHusimi:
     def test_empty_grid(self):
         assert sq.husimi_q(sq.css(4, 0.0, 0.0), []).size == 0
 
+    def test_matches_per_point_reference(self):
+        rng = np.random.default_rng(17)
+        thetas = np.linspace(0.0, math.pi, 7)
+        phis = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
+        product = np.column_stack([np.repeat(thetas, 9), np.tile(phis, 7)])
+        for seed, n in enumerate((2, 37, 3, 120, 7)):
+            st = random_state(n, 300 + seed)
+            # a product grid: one matrix product of the two tables
+            got = sq.husimi_q(st, product)
+            assert np.max(np.abs(got - husimi_per_point(st, product))) < 4e-15
+            # shuffled with repeats, it is still a product grid
+            mixed = product[rng.integers(0, len(product), size=100)]
+            assert np.max(np.abs(sq.husimi_q(st, mixed) - husimi_per_point(st, mixed))) < 4e-15
+            # a scattered grid, more points than one chunk: the row branch
+            scattered = np.column_stack(
+                [rng.uniform(0.0, math.pi, 2500), rng.uniform(-4.0, 10.0, 2500)]
+            )
+            assert len(np.unique(scattered[:, 0])) * len(np.unique(scattered[:, 1])) > 2500
+            got = sq.husimi_q(st, scattered)
+            assert np.max(np.abs(got - husimi_per_point(st, scattered))) < 4e-15
+            # the poles, where one of the half-angle factors vanishes
+            poles = [(0.0, 0.3), (math.pi, 1.9), (0.0, 0.0), (math.pi, 0.0), (1e-300, 2.0)]
+            got = sq.husimi_q(st, poles)
+            assert np.max(np.abs(got - husimi_per_point(st, poles))) < 4e-15
+            assert abs(got[0] - abs(st.amplitudes[0]) ** 2) < 1e-15
+            assert abs(got[1] - abs(st.amplitudes[-1]) ** 2) < 1e-15
+
+    def test_grid_forms_and_bad_grids(self):
+        st = sq.css(6, 0.8, 0.2)
+        pairs = [(0.8, 0.2), (1.5, 3.0)]
+        want = husimi_per_point(st, pairs)
+        for grid in (pairs, tuple(pairs), np.array(pairs)):
+            assert np.max(np.abs(sq.husimi_q(st, grid) - want)) < 1e-15
+        assert sq.husimi_q(st, np.zeros((0, 2))).size == 0
+        for bad, match in (
+            ([(0.5, math.nan)], "finite"),
+            ([(math.inf, 0.1)], "finite"),
+            ([(3.5, 0.1)], r"\[0, pi\]"),
+            ([0.5, 0.1, 0.2], "pairs"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                sq.husimi_q(st, bad)
+
     def test_bounds_and_normalization(self):
         st = sq.oat_state(20, 0.4)
         pts, w = gauss_sphere_grid(200, 400)
@@ -396,6 +445,18 @@ class TestStateValidation:
     def test_length_enforced(self):
         with pytest.raises(ValueError):
             sq.SymmetricState(3, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, math.nan)],
+    )
+    def test_non_finite_amplitudes_rejected(self, bad):
+        amps = np.array([0.6, 0.8, 0.0], dtype=complex)
+        amps[2] = bad
+        with pytest.raises(ValueError, match="^amplitudes must be finite"):
+            sq.SymmetricState(2, amps)
+        with pytest.raises(ValueError, match="^amplitudes must be finite"):
+            sq.SymmetricState.normalized(2, amps)
 
     def test_amplitudes_read_only(self):
         st = sq.css(3, 0.2, 0.1)

@@ -118,6 +118,12 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(st, HamiltonianSpec(OAT_X, 1.0), math.inf)
 
+    @pytest.mark.parametrize("field_b", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field_b):
+        # refused at the spec, before the parity-block solver sees it
+        with pytest.raises(ValueError, match="^field_b must be finite"):
+            HamiltonianSpec(OAT_TRANSVERSE, 1.0, field_b)
+
     def test_parity_conserved(self):
         n = 8
         st = dicke(n, -4.0)
