@@ -98,11 +98,10 @@ def extreme_squeezing_curve(j: int, mu_grid) -> list[tuple[float, float]]:
     n = 2 * int(j)
     const = j * (j + 1.0) / 2.0  # Jx^2 = j(j+1)/2 - Jz^2/2 + (J+^2 + J-^2)/4
     out = []
-    mus = [float(mu) for mu in mu_grid]
-    for mu in mus:
+    for mu in mu_grid:
+        mu = float(mu)
         if not math.isfinite(mu):
             raise ValueError(f"mu must be finite, got {mu}")
-    for mu in mus:
         mset = moments(_parity_ground(n, (const, -0.5, mu, 0.25)))
         out.append((float(mset.mean[2]) / j, float(mset.cov[0, 0]) / j))
     return out

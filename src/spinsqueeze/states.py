@@ -625,13 +625,14 @@ def husimi_q(state: SymmetricState, grid) -> np.ndarray:
     phase = np.multiply.outer(-1j * k, ph_u)  # (N+1) x n_phi, conj CSS phases
     np.exp(phase, out=phase)
     if th_u.size * ph_u.size <= th.size:
-        # the sum over k runs in blocks of about sqrt(N) terms, so no rounding
-        # chain is longer than about 2 sqrt(N) (one long BLAS chain is not)
+        # the sum over k runs in blocks of about sqrt(N) terms: one product
+        # over all N+1 terms accumulates them in one chain and lands up to
+        # twice as far from the exact sum as the per-point overlap does
         step = math.isqrt(n) + 1
         table = sum(amp[:, i : i + step] @ phase[i : i + step] for i in range(0, n + 1, step))
         overlap = table[th_idx, ph_idx]
     else:
-        # row by row, a chunk of points at a time: no copy of either table
+        # a chunk of points at a time, so the gathered table rows stay small
         overlap = np.empty(th.size, dtype=complex)
         for i in range(0, th.size, _HUSIMI_CHUNK):
             rows = slice(i, i + _HUSIMI_CHUNK)
