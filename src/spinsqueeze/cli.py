@@ -139,10 +139,6 @@ def _write_rows(columns, rows, fmt, out_path, title=""):
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _report_row(report: metrics.SqueezingReport) -> dict:
-    return report.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # point evaluators shared by the subcommands and the sweep engine
 # ---------------------------------------------------------------------------
@@ -152,18 +148,18 @@ def _eval_oat(n: int, theta: float) -> dict:
     lm = twist.oat_closed_form(int(n), theta)
     rep = metrics.compute_report(states.collective_from_local(lm))
     row = {"n": int(n), "theta": theta}
-    row.update(_report_row(rep))
+    row.update(rep.to_dict())
     return row
 
 
-def _traj_row(mset, rep) -> dict:
+def _traj_row(mean, rep) -> dict:
     return {
         "xi_S2": rep.xi_S2,
         "xi_R2": rep.xi_R2,
         "tilde_xi_E2": rep.tilde_xi_E2,
-        "Jx": float(mset.mean[0]),
-        "Jy": float(mset.mean[1]),
-        "Jz": float(mset.mean[2]),
+        "Jx": float(mean[0]),
+        "Jy": float(mean[1]),
+        "Jz": float(mean[2]),
     }
 
 
@@ -172,7 +168,7 @@ def _eval_tat(n: int, chi_t: float) -> dict:
     mset = states.moments(psi)
     rep = metrics.compute_report(mset)
     row = {"n": int(n), "chi_t": chi_t}
-    row.update(_traj_row(mset, rep))
+    row.update(_traj_row(mset.mean, rep))
     return row
 
 
@@ -211,15 +207,10 @@ def _ramsey_state(name: str, n: int) -> states.SymmetricState:
 
 
 def _eval_ramsey(n: int, state: str, readout: str, phi: float) -> dict:
-    psi = _ramsey_state(state, int(n))
-    signal, dsignal = metrology.ramsey_signal(psi, phi, readout)
-    row = {"phi": phi, "signal": signal, "dsignal": dsignal, "dphi": None}
-    try:
-        res = metrology.ramsey_sensitivity(psi, phi, readout)
-        row["dphi"] = math.sqrt(res.phase_variance)
-    except ValueError:
-        pass  # zero slope: leave dphi empty for this operating point
-    return row
+    signal, variance, slope = metrology._readout(_ramsey_state(state, int(n)), phi, readout)
+    # a zero slope leaves dphi empty for this operating point
+    dphi = None if slope is None else math.sqrt(variance / slope**2)
+    return {"phi": phi, "signal": signal, "dsignal": math.sqrt(variance), "dphi": dphi}
 
 
 SWEEP_OPS = {
@@ -279,7 +270,7 @@ def _parse_scalar(text: str):
 
 def _parse_grid(name: str, text: str) -> list:
     """Grid syntax: 'a:b:count' for a linear grid, or comma-separated values;
-    ``name`` labels the grid in error messages."""
+    ``name`` labels the grid in error messages. Non-finite numbers are refused."""
     text = text.strip()
     if ":" in text and "," not in text:
         bad = SweepConfigError(
@@ -294,10 +285,19 @@ def _parse_grid(name: str, text: str) -> list:
             raise bad from None
         if count < 1:
             raise bad
+        _check_finite(name, (start, stop))
         if count == 1:
             return [start]
         return list(np.linspace(start, stop, count))
-    return [_parse_scalar(tok) for tok in text.split(",") if tok.strip() != ""]
+    values = [_parse_scalar(tok) for tok in text.split(",") if tok.strip() != ""]
+    _check_finite(name, values)
+    return values
+
+
+def _check_finite(name: str, values) -> None:
+    bad = [v for v in values if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise SweepConfigError(f"grid {name} must hold finite numbers, got {bad[0]!r}")
 
 
 def parse_sweep_config(path: str) -> SweepConfig:
@@ -499,20 +499,8 @@ def _cmd_kicked_top(args) -> int:
     initial = states.css(n, args.theta0, args.phi0)
     spec = twist.KickedTopSpec(kappa=args.kappa, j=args.spin_j)
     result = twist.kicked_top_trajectory(initial, spec, args.kicks)
-    rows = []
-    for step, rep in enumerate(result.reports, start=1):
-        row = {"step": step}
-        row.update(
-            {
-                "xi_S2": rep.xi_S2,
-                "xi_R2": rep.xi_R2,
-                "tilde_xi_E2": rep.tilde_xi_E2,
-                "Jx": float(result.means[step - 1][0]),
-                "Jy": float(result.means[step - 1][1]),
-                "Jz": float(result.means[step - 1][2]),
-            }
-        )
-        rows.append(row)
+    rows = [{"step": step, **_traj_row(mean, rep)}
+            for step, (mean, rep) in enumerate(zip(result.means, result.reports), start=1)]
     cols = ["step", "xi_S2", "xi_R2", "tilde_xi_E2", "Jx", "Jy", "Jz"]
     _write_rows(cols, rows, args.format, args.out, title="kicked-top")
     return EXIT_OK
@@ -575,7 +563,7 @@ def _cmd_metrics(args) -> int:
             raise ValueError("dicke state needs --m")
         psi = states.dicke(args.n, args.m)
     rep = metrics.compute_report(states.moments(psi))
-    row = _report_row(rep)
+    row = rep.to_dict()
     _write_rows(list(row.keys()), [row], args.format, args.out, title="metrics")
     return EXIT_OK
 

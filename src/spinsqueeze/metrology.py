@@ -1,9 +1,14 @@
 """Quantum Fisher information, the N/F criterion, and Ramsey phase estimation.
 
 The interferometer sequence is modeled by the unitary
-U = exp(-i phi J_y) exp(-i pi J_x); population readout uses exact error
-propagation on the initial-state moments, parity readout evaluates the
-evolved state directly.
+U = exp(-i phi J_y) exp(-i pi J_x). Since exp(-i pi J_x)|j,m> =
+e^{-i pi j}|j,-m>, the pi pulse only reverses the amplitude vector, and it
+maps (J_x, J_y, J_z) to (J_x, -J_y, -J_z). One readout function gives the
+signal <O>, its variance and its slope d<O>/dphi, from which
+Delta phi = Delta O / |d<O>/dphi|: population readout (O = J_z) propagates
+the initial-state moments, parity readout evaluates the evolved state. The
+quantum Fisher information of the sequence is 4 (Delta J_y)^2 of the initial
+state.
 """
 
 from __future__ import annotations
@@ -14,15 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .states import (
-    CollectiveOperator,
-    SymmetricState,
-    _apply_jm,
-    _apply_jp,
-    dicke,
-    moments,
-    rotate,
-)
+from .states import CollectiveOperator, SymmetricState, _moment_tables, dicke, moments, rotate
 
 __all__ = [
     "EstimationResult",
@@ -58,10 +55,21 @@ class EstimationResult:
         }
 
 
-def _as_matrix(generator) -> np.ndarray:
+def _dimension(state_or_rho: StateOrRho) -> int:
+    if isinstance(state_or_rho, SymmetricState):
+        return state_or_rho.n_particles + 1
+    return np.shape(state_or_rho)[0]
+
+
+def _as_matrix(generator, state_or_rho: StateOrRho) -> np.ndarray:
+    """The generator as a dense matrix, refused unless it is (N+1)x(N+1)."""
     if isinstance(generator, CollectiveOperator):
-        return np.asarray(generator.matrix)
-    return np.asarray(generator, dtype=complex)
+        generator = generator.matrix
+    gen = np.asarray(generator, dtype=complex)
+    dim = _dimension(state_or_rho)
+    if gen.shape != (dim, dim):
+        raise ValueError(f"generator must have shape {(dim, dim)}, got {gen.shape}")
+    return gen
 
 
 def _validate_rho(rho: np.ndarray) -> np.ndarray:
@@ -84,7 +92,7 @@ def qfi_rotation(state_or_rho: StateOrRho, generator) -> float:
     Pure states use F = 4 (Delta J_n)^2; density matrices use the spectral
     double sum with eigenvalues below 1e-12 treated as zero.
     """
-    gen = _as_matrix(generator)
+    gen = _as_matrix(generator, state_or_rho)
     if isinstance(state_or_rho, SymmetricState):
         c = state_or_rho.amplitudes
         gc = gen @ c
@@ -108,10 +116,7 @@ def chi_criterion(state_or_rho: StateOrRho, generator):
     """N/F for a rotation family; (chi2, entangled_flag). chi2 < 1 detects
     entanglement (with a -1e-12 guard so unentangled boundary states do not
     flicker). F = 0 yields chi2 = None and flag False."""
-    if isinstance(state_or_rho, SymmetricState):
-        n = state_or_rho.n_particles
-    else:
-        n = np.asarray(state_or_rho).shape[0] - 1
+    n = _dimension(state_or_rho) - 1
     f = qfi_rotation(state_or_rho, generator)
     if f <= 0.0:
         return None, False
@@ -119,87 +124,79 @@ def chi_criterion(state_or_rho: StateOrRho, generator):
     return chi2, chi2 < 1.0 - 1e-12
 
 
-def _parity_signs(n: int) -> np.ndarray:
-    return (-1.0) ** (n - np.arange(n + 1))
+def _pi_pulse(state: SymmetricState) -> SymmetricState:
+    """exp(-i pi J_x) applied to the state: e^{-i pi j} times the reversed
+    amplitude vector."""
+    n = state.n_particles
+    return SymmetricState(n, np.exp(-0.5j * math.pi * n) * state.amplitudes[::-1])
+
+
+def _readout(initial: SymmetricState, phi: float, readout: str) -> tuple:
+    """(signal, variance, slope) of the readout observable O after
+    exp(-i phi J_y) exp(-i pi J_x): <O>, (Delta O)^2 and d<O>/dphi.
+
+    The slope is None where |d<O>/dphi| < 1e-12 max(1, N), since such an
+    operating point carries no phase information.
+    """
+    if readout not in ("jz", "parity"):
+        raise ValueError(f"unknown readout {readout!r}")
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    n = initial.n_particles
+    if readout == "jz":
+        # U^dagger J_z U = -J_x sin(phi) - J_z cos(phi) on the initial state
+        m0 = moments(initial)
+        cos, sin = math.cos(phi), math.sin(phi)
+        signal = -m0.mean[0] * sin - m0.mean[2] * cos
+        variance = cos**2 * m0.cov[2, 2] + sin**2 * m0.cov[0, 0]
+        variance = max(variance + math.sin(2.0 * phi) * m0.cov[0, 2], 0.0)
+        slope = m0.mean[2] * sin - m0.mean[0] * cos
+    else:
+        c = rotate(_pi_pulse(initial), np.array([0.0, 1.0, 0.0]), phi).amplitudes
+        prob = np.abs(c) ** 2
+        # parity (-1)^(N-k): +1 on Dicke indices k = N mod 2, N mod 2 + 2, ...
+        even, odd = float(prob[n % 2 :: 2].sum()), float(prob[1 - n % 2 :: 2].sum())
+        signal = even - odd
+        variance = 4.0 * even * odd  # 1 - <P>^2, without cancellation near |<P>| = 1
+        # d<P>/dphi = i<[J_y, P]> = 2 Re sum_k c_k^* c_{k+1} <k|J_+|k+1> (-1)^(N-k-1)
+        near = np.conj(c[:-1]) * c[1:]
+        near[n % 2 :: 2] *= -1.0
+        slope = 2.0 * float((near @ _moment_tables(n)[2]).real)
+    if abs(slope) < 1e-12 * max(1.0, n):
+        slope = None
+    return signal, variance, slope
 
 
 def ramsey_sensitivity(
     initial: SymmetricState, phi: float, readout: str = "jz", n_repeats: int = 1
 ) -> EstimationResult:
-    """Phase sensitivity of a Ramsey sequence at operating point ``phi``.
-
-    ``readout`` selects the measured observable: "jz" propagates the
-    initial-state moments through <J_z>_t = <J_x>_0 sin(phi) - <J_z>_0
-    cos(phi); "parity" evaluates the parity expectation of the evolved state.
-    A vanishing signal slope raises, since the operating point carries no
-    phase information.
+    """Phase sensitivity (Delta O / |d<O>/dphi|)^2 / n_repeats of a Ramsey
+    sequence at operating point ``phi``, with O = J_z for ``readout`` "jz" and
+    the parity for "parity". A vanishing signal slope raises, since the
+    operating point carries no phase information.
     """
-    if readout not in ("jz", "parity"):
-        raise ValueError(f"unknown readout {readout!r}")
     if n_repeats < 1:
         raise ValueError("need n_repeats >= 1")
+    _, variance, slope = _readout(initial, phi, readout)
+    if slope is None:
+        raise ValueError("zero signal slope: unusable operating point")
     n = initial.n_particles
-    after_pi = rotate(initial, np.array([1.0, 0.0, 0.0]), math.pi)
-    # pure-state QFI for the J_y phase: 4 (Delta J_y)^2 after the pi pulse
-    qfi = 4.0 * float(moments(after_pi).cov[1, 1])
-    chi2 = (n / qfi) if qfi > 0 else None
-
-    if readout == "jz":
-        m0 = moments(initial)
-        mean_x, mean_z = m0.mean[0], m0.mean[2]
-        var_x, var_z = m0.cov[0, 0], m0.cov[2, 2]
-        cov_xz = m0.cov[0, 2]
-        slope = mean_x * math.cos(phi) + mean_z * math.sin(phi)
-        if abs(slope) < 1e-12 * max(1.0, n):
-            raise ValueError("zero signal slope: unusable operating point")
-        var_t = (
-            math.cos(phi) ** 2 * var_z
-            + math.sin(phi) ** 2 * var_x
-            - math.sin(2.0 * phi) * cov_xz
-        )
-        phase_var = var_t / (n_repeats * slope**2)
-    else:
-        psi = rotate(after_pi, np.array([0.0, 1.0, 0.0]), phi)
-        signs = _parity_signs(n)
-        probs = np.abs(psi.amplitudes) ** 2
-        p_mean = float(signs @ probs)
-        # slope d<P>/dphi = i <[J_y, P]> on the evolved state
-        c = psi.amplitudes
-        pc = signs * c
-        jy_pc = (_apply_jp(pc, n) - _apply_jm(pc, n)) / 2.0j
-        slope = float((1j * (np.vdot(c, jy_pc) - np.vdot(jy_pc, c))).real)
-        if abs(slope) < 1e-12 * max(1.0, n):
-            raise ValueError("zero signal slope: unusable operating point")
-        phase_var = (1.0 - p_mean**2) / (n_repeats * slope**2)
-
+    # pure-state QFI for the J_y phase; the pi pulse only flips the sign of J_y
+    qfi = 4.0 * float(moments(initial).cov[1, 1])
     return EstimationResult(
-        phase_variance=float(phase_var),
+        phase_variance=float(variance / (n_repeats * slope**2)),
         omega_variance=None,
         readout=readout,
         qfi=qfi,
-        chi2=chi2,
+        chi2=(n / qfi) if qfi > 0 else None,
         n_repeats=n_repeats,
     )
 
 
 def ramsey_signal(initial: SymmetricState, phi: float, readout: str = "jz"):
     """(signal, standard deviation) of the readout observable at phi."""
-    n = initial.n_particles
-    if readout == "jz":
-        m0 = moments(initial)
-        mean = m0.mean[0] * math.sin(phi) - m0.mean[2] * math.cos(phi)
-        var = (
-            math.cos(phi) ** 2 * m0.cov[2, 2]
-            + math.sin(phi) ** 2 * m0.cov[0, 0]
-            - math.sin(2.0 * phi) * m0.cov[0, 2]
-        )
-        return mean, math.sqrt(max(var, 0.0))
-    psi = rotate(rotate(initial, np.array([1.0, 0.0, 0.0]), math.pi),
-                 np.array([0.0, 1.0, 0.0]), phi)
-    signs = _parity_signs(n)
-    probs = np.abs(psi.amplitudes) ** 2
-    mean = float(signs @ probs)
-    return mean, math.sqrt(max(1.0 - mean**2, 0.0))
+    signal, variance, _ = _readout(initial, phi, readout)
+    return signal, math.sqrt(variance)
 
 
 def ghz_y(n_particles: int) -> SymmetricState:
@@ -222,7 +219,6 @@ def sss_andre(n_particles: int) -> SymmetricState:
     if n % 2 != 0:
         raise ValueError("this benchmark state needs integer j (even N)")
     amp = np.zeros(n + 1, dtype=complex)
-    j = n // 2
     amp[_m_index(n, 0)] = 1.0 / math.sqrt(2.0)
     amp[_m_index(n, 1)] = -0.5
     amp[_m_index(n, -1)] = -0.5

@@ -195,6 +195,28 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
+def _css_magnitudes(n: int, theta: np.ndarray) -> np.ndarray:
+    """|<k|theta, 0>| = sqrt(C(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k, one row
+    per polar angle in ``theta`` and one column per Dicke index k.
+
+    Evaluated in log space so arbitrary N does not overflow; at the poles the
+    vanishing powers give exact zeros.
+    """
+    j = n / 2.0
+    m = m_values(n)
+    exp_c = (j + m)[None, :]
+    exp_s = (j - m)[None, :]
+    c_half = np.cos(theta / 2.0)[:, None]
+    s_half = np.sin(theta / 2.0)[:, None]
+    zero = ((c_half == 0.0) & (exp_c > 0)) | ((s_half == 0.0) & (exp_s > 0))
+    log_mag = (
+        0.5 * _log_binom(n, exp_s)
+        + np.where(exp_c > 0, exp_c * np.log(np.maximum(c_half, 1e-300)), 0.0)
+        + np.where(exp_s > 0, exp_s * np.log(np.maximum(s_half, 1e-300)), 0.0)
+    )
+    return np.where(zero, 0.0, np.exp(log_mag))
+
+
 def css(n_particles: int, theta: float, phi: float) -> SymmetricState:
     """Coherent spin state with mean spin along (theta, phi).
 
@@ -205,20 +227,7 @@ def css(n_particles: int, theta: float, phi: float) -> SymmetricState:
     n = _check_n(n_particles)
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"polar angle theta={theta!r} outside [0, pi]")
-    j = n / 2.0
-    m = m_values(n)
-    k = j - m  # number of flipped spins, 0..N
-    c_half, s_half = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    log_mag = 0.5 * _log_binom(n, k)
-    zero = np.zeros(n + 1, dtype=bool)
-    with np.errstate(divide="ignore"):
-        exp_c = j + m
-        exp_s = k
-        zero |= (c_half == 0.0) & (exp_c > 0)
-        zero |= (s_half == 0.0) & (exp_s > 0)
-        log_mag = log_mag + np.where(exp_c > 0, exp_c * np.log(np.maximum(c_half, 1e-300)), 0.0)
-        log_mag = log_mag + np.where(exp_s > 0, exp_s * np.log(np.maximum(s_half, 1e-300)), 0.0)
-    amps = np.where(zero, 0.0, np.exp(log_mag)) * np.exp(1j * k * phi)
+    amps = _css_magnitudes(n, np.array([theta]))[0] * np.exp(1j * np.arange(n + 1) * phi)
     return SymmetricState.normalized(n, amps)
 
 
@@ -607,22 +616,8 @@ def husimi_q(state: SymmetricState, grid) -> np.ndarray:
     th_u, th_idx = np.unique(th, return_inverse=True)
     ph_u, ph_idx = np.unique(ph, return_inverse=True)
     n = state.n_particles
-    j = n / 2.0
-    m = m_values(n)
-    k = j - m
-    logb = 0.5 * _log_binom(n, k)
-    c_half = np.cos(th_u / 2.0)[:, None]
-    s_half = np.sin(th_u / 2.0)[:, None]
-    exp_c = (j + m)[None, :]
-    exp_s = k[None, :]
-    zero = ((c_half == 0.0) & (exp_c > 0)) | ((s_half == 0.0) & (exp_s > 0))
-    log_mag = (
-        logb[None, :]
-        + np.where(exp_c > 0, exp_c * np.log(np.maximum(c_half, 1e-300)), 0.0)
-        + np.where(exp_s > 0, exp_s * np.log(np.maximum(s_half, 1e-300)), 0.0)
-    )
-    amp = np.where(zero, 0.0, np.exp(log_mag)) * state.amplitudes  # n_theta x (N+1)
-    phase = np.multiply.outer(-1j * k, ph_u)  # (N+1) x n_phi, conj CSS phases
+    amp = _css_magnitudes(n, th_u) * state.amplitudes  # n_theta x (N+1)
+    phase = np.multiply.outer(-1j * np.arange(n + 1.0), ph_u)  # (N+1) x n_phi, conj CSS phases
     np.exp(phase, out=phase)
     if th_u.size * ph_u.size <= th.size:
         # the sum over k runs in blocks of about sqrt(N) terms: one product

@@ -175,6 +175,17 @@ class OptimalOAT(NamedTuple):
     delta_star: float
 
 
+def _scan_minimum(f, grid: np.ndarray) -> tuple[float, float]:
+    """(x, f(x)) at the minimum of f: the scan over ``grid`` brackets the dip
+    between the neighbours of its lowest point, and bounded scalar
+    minimization refines it to 1e-12."""
+    k = int(np.argmin([f(x) for x in grid]))
+    lo = grid[max(0, k - 1)]
+    hi = grid[min(len(grid) - 1, k + 1)]
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    return float(res.x), float(res.fun)
+
+
 def optimal_oat(n_particles: int) -> OptimalOAT:
     """Twist angle minimizing xi_S^2, the minimum, and the squeezing angle there.
 
@@ -186,27 +197,22 @@ def optimal_oat(n_particles: int) -> OptimalOAT:
         raise ValueError("optimal-angle search assumes N >= 10")
     theta0 = 12.0 ** (1.0 / 6.0) * (n / 2.0) ** (-2.0 / 3.0)
     hi = min(math.pi, 10.0 * theta0)
-    grid = np.linspace(theta0 / 50.0, hi, 400)
-    vals = [oat_xi_s2(n, th) for th in grid]
-    k = int(np.argmin(vals))
-    lo = grid[max(0, k - 1)]
-    up = grid[min(len(grid) - 1, k + 1)]
-    res = minimize_scalar(lambda th: oat_xi_s2(n, th), bounds=(lo, up), method="bounded",
-                          options={"xatol": 1e-12})
-    theta_star = float(res.x)
+    theta_star, xi_star = _scan_minimum(
+        lambda th: oat_xi_s2(n, th), np.linspace(theta0 / 50.0, hi, 400)
+    )
     mset = collective_from_local(oat_closed_form(n, theta_star))
     _, angle = min_transverse_variance(mset)
     # tilt of the squeezed direction away from the second transverse axis,
     # i.e. the arctan(B/A)/2 angle that shrinks like N^(-1/3)
     delta = abs(math.pi / 2.0 - angle)
-    return OptimalOAT(theta_star, float(res.fun), delta)
+    return OptimalOAT(theta_star, xi_star, delta)
 
 
 def tat_minimum(n_particles: int, coarse: int = 200) -> tuple[float, float]:
     """Minimum of xi_S^2 over chi*t in (0, pi/2] for two-axis twisting.
 
-    A coarse scan locates the dip; golden-section refinement polishes it.
-    Returns (chi_t_star, xi_s2_min).
+    A coarse scan locates the dip and bounded scalar minimization polishes
+    it. Returns (chi_t_star, xi_s2_min).
     """
     from .states import dicke
 
@@ -217,29 +223,7 @@ def tat_minimum(n_particles: int, coarse: int = 200) -> tuple[float, float]:
     def xi_at(chi_t: float) -> float:
         return compute_report(moments(evolve(south, ham, chi_t))).xi_S2
 
-    ts = np.linspace(math.pi / 2.0 / coarse, math.pi / 2.0, coarse)
-    vals = [xi_at(t) for t in ts]
-    k = int(np.argmin(vals))
-    lo = ts[max(0, k - 1)]
-    hi = ts[min(len(ts) - 1, k + 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = xi_at(c), xi_at(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = xi_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = xi_at(d)
-        if b - a < 1e-12:
-            break
-    t_star = (a + b) / 2.0
-    return t_star, xi_at(t_star)
+    return _scan_minimum(xi_at, np.linspace(math.pi / 2.0 / coarse, math.pi / 2.0, coarse))
 
 
 class KickedTopResult(NamedTuple):

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import spinsqueeze as sq
 from spinsqueeze import states
-from spinsqueeze.cli import run_cli
+from spinsqueeze.cli import SweepConfig, run_cli, sweep
 
 
 def run(capsys, *argv):
@@ -198,11 +198,15 @@ class TestSweep:
         assert "SQZ_THREADS" in err
 
     def test_non_finite_lmg_point_flagged(self, tmp_path, capsys):
+        # the config parser refuses a non-finite grid value; a sweep built in
+        # the library still reaches LMGSpec and flags the point
         cfg = self.write_config(tmp_path, "op = lmg\ngrid.n = 8\ngrid.h = 0.5,nan\ngrid.gamma = 0.2\n")
-        code, out, _ = run(capsys, "sweep", "--config", cfg)
-        assert code == 0
-        statuses = [ln.rsplit(",", 1)[-1] for ln in out.strip().splitlines()[1:]]
-        assert statuses == ["ok", "error: h must be finite"]
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert "grid h" in err
+        grids = {"n": [8], "h": [0.5, float("nan")], "gamma": [0.2]}
+        _, rows = sweep(SweepConfig("lmg", grids, workers=1))
+        assert [row["status"] for row in rows] == ["ok", "error: h must be finite"]
 
     def test_unknown_operation_rejected(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "op = teleport\ngrid.n = 2\n")
@@ -419,6 +423,37 @@ def test_bad_count_is_usage_error(tmp_path, capsys, argv, config, name):
     assert code == 2
     assert out == ""
     assert name in err
+
+
+_RAMSEY = ["ramsey", "--n", "10", "--phi"]
+_CHANNEL = ["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [
+        pytest.param(_RAMSEY + ["nan"], None, "--phi", id="ramsey-phi-nan"),
+        pytest.param(_RAMSEY + ["0.3,inf"], None, "--phi", id="ramsey-phi-list-inf"),
+        pytest.param(_RAMSEY + ["1e400"], None, "--phi", id="ramsey-phi-overflow"),
+        pytest.param(_RAMSEY + ["0:inf:3"], None, "--phi", id="ramsey-phi-stop-inf"),
+        pytest.param(_RAMSEY[:-1] + ["--phi=-inf:1:1"], None, "--phi", id="ramsey-phi-start--inf"),
+        pytest.param(_CHANNEL + ["nan:1:3"], None, "--p", id="channel-p-start-nan"),
+        pytest.param(_CHANNEL + ["0.1,nan"], None, "--p", id="channel-p-list-nan"),
+        pytest.param([], "op = ramsey\ngrid.n = 8\ngrid.state = css\ngrid.readout = jz\n"
+                     "grid.phi = 0.2,-inf\n", "grid phi", id="config-phi-list--inf"),
+        pytest.param([], "op = oat\ngrid.n = 12\ngrid.theta = 0:nan:4\n", "grid theta",
+                     id="config-theta-stop-nan"),
+    ],
+)
+def test_non_finite_grid_is_usage_error(tmp_path, capsys, argv, config, name):
+    if config is not None:
+        path = tmp_path / "sweep.cfg"
+        path.write_text(config)
+        argv = ["sweep", "--config", str(path), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert name in err and "finite" in err
 
 
 _HUSIMI = ["husimi", "--n", "8"]

@@ -1,12 +1,23 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import spinsqueeze as sq
+from spinsqueeze import metrology
+from spinsqueeze.cli import SweepConfig, sweep
 from spinsqueeze.states import spin_matrices
 from spinsqueeze.metrics import compute_report, mean_spin_direction, min_transverse_variance, transverse_frame
-from spinsqueeze.metrology import chi_criterion, ghz_y, qfi_rotation, ramsey_sensitivity, sss_andre
+from spinsqueeze.metrology import (
+    chi_criterion,
+    ghz_y,
+    qfi_rotation,
+    ramsey_sensitivity,
+    ramsey_signal,
+    sss_andre,
+)
 
 
 def random_state(n, seed):
@@ -70,6 +81,18 @@ class TestQfi:
     def test_invalid_density_matrix_rejected(self):
         with pytest.raises(ValueError):
             qfi_rotation(np.eye(5) * 0.5, jmat(4, [0, 0, 1.0]))
+
+    @pytest.mark.parametrize("func", [qfi_rotation, chi_criterion])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "rho"])
+    @pytest.mark.parametrize(
+        "generator", [np.array([0.0, 0.0, 1.0]), jmat(5, [0, 0, 1.0])], ids=["3-vector", "wrong-n"]
+    )
+    def test_generator_shape_checked(self, func, mixed, generator):
+        n = 6
+        st = random_state(n, 3)
+        arg = np.outer(st.amplitudes, st.amplitudes.conj()) if mixed else st
+        with pytest.raises(ValueError, match=r"generator must have shape \(7, 7\), got \((3,|6, 6)\)"):
+            func(arg, generator)
 
 
 class TestChiCriterion:
@@ -153,8 +176,6 @@ class TestRamsey:
         assert res.readout == "parity"
 
     def test_ghz_parity_signal_shape(self):
-        from spinsqueeze.metrology import ramsey_signal
-
         n = 8
         for phi in (0.05, 0.2, 0.37):
             mean, dev = ramsey_signal(ghz_y(n), phi, "parity")
@@ -198,3 +219,83 @@ class TestRamsey:
                 assert res.phase_variance >= 1.0 / n**2 - 1e-9
             except ValueError:
                 pass
+
+
+def dense_readout(state, phi, readout):
+    """(signal, variance, slope) of the readout after the dense sequence
+    exp(-i phi J_y) exp(-i pi J_x)."""
+    n = state.n_particles
+    mats = spin_matrices(n / 2.0)
+    psi = expm(-1j * phi * mats["jy"]) @ expm(-1j * math.pi * mats["jx"]) @ state.amplitudes
+    obs = mats["jz"] if readout == "jz" else np.diag((-1.0) ** (n - np.arange(n + 1)))
+    mean = np.vdot(psi, obs @ psi).real
+    variance = np.vdot(psi, obs @ obs @ psi).real - mean**2
+    # d<O>/dphi = i <[J_y, O]> on the evolved state
+    comm = mats["jy"] @ obs - obs @ mats["jy"]
+    return mean, variance, np.vdot(psi, 1j * comm @ psi).real
+
+
+class TestReadout:
+    """The single readout against the dense interferometer sequence."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 3, 120])
+    def test_pi_pulse_is_index_reversal(self, n):
+        st = random_state(n, 500 + n)
+        dense = expm(-1j * math.pi * spin_matrices(n / 2.0)["jx"]) @ st.amplitudes
+        assert np.max(np.abs(metrology._pi_pulse(st).amplitudes - dense)) < 1e-12
+
+    @pytest.mark.parametrize("readout", ["jz", "parity"])
+    def test_matches_dense_sequence(self, readout):
+        for n in (1, 2, 7, 20, 3, 120):
+            st = random_state(n, 600 + n)
+            scale = n / 2.0 if readout == "jz" else 1.0
+            slope_scale = n / 2.0 if readout == "jz" else float(n)
+            for phi in (0.0, 0.3, 1.1, math.pi / 2.0, 2.9, -0.7):
+                signal, variance, slope = metrology._readout(st, phi, readout)
+                ref_signal, ref_variance, ref_slope = dense_readout(st, phi, readout)
+                assert abs(signal - ref_signal) < 1e-12 * scale
+                assert abs(variance - ref_variance) < 1e-12 * scale**2
+                if slope is None:
+                    assert abs(ref_slope) < 2e-12 * max(1.0, n)
+                else:
+                    assert abs(slope - ref_slope) < 1e-12 * slope_scale
+                if slope is not None:
+                    res = ramsey_sensitivity(st, phi, readout)
+                    assert res.phase_variance == variance / slope**2
+                assert ramsey_signal(st, phi, readout) == (signal, math.sqrt(variance))
+
+    def test_qfi_from_initial_moments(self):
+        for n in (2, 7, 20):
+            st = random_state(n, 700 + n)
+            mats = spin_matrices(n / 2.0)
+            psi = expm(-1j * math.pi * mats["jx"]) @ st.amplitudes
+            jy = mats["jy"] @ psi
+            dense = 4.0 * (np.vdot(jy, jy).real - np.vdot(psi, jy).real ** 2)
+            assert abs(ramsey_sensitivity(st, 0.4, "parity").qfi - dense) < 1e-12 * n**2
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        st = sq.dicke(6, -3.0)
+        for call in (ramsey_signal, ramsey_sensitivity):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                call(st, phi, "parity")
+
+    def test_sweep_makes_one_readout_per_point(self, monkeypatch):
+        counts = {"rotate": 0, "moments": 0}
+        for name in counts:
+            original = getattr(sq.states, name)
+
+            def counting(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            for mod in list(sys.modules.values()):
+                if mod is not None and mod.__name__.startswith("spinsqueeze") \
+                        and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counting)
+        grids = {"n": [40], "state": ["css", "sss", "ghz"], "readout": ["jz", "parity"],
+                 "phi": [0.3, 0.9, 1.7, 2.4]}
+        _, rows = sweep(SweepConfig("ramsey", grids, workers=1))
+        assert len(rows) == 24 and all(row["status"] == "ok" for row in rows)
+        # 16 rotations prepare the sss and ghz states, one per parity point
+        assert counts == {"rotate": 28, "moments": 12}
