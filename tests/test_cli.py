@@ -393,6 +393,8 @@ class TestLmgCommand:
 
 
 _SWEEP_BASE = "op = oat\ngrid.n = 12\ngrid.theta = 0.1,0.2\n"
+_RAMSEY = ["ramsey", "--n", "10", "--phi"]
+_CHANNEL = ["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p"]
 
 
 @pytest.mark.parametrize(
@@ -412,6 +414,17 @@ _SWEEP_BASE = "op = oat\ngrid.n = 12\ngrid.theta = 0.1,0.2\n"
         pytest.param([], _SWEEP_BASE + "workers = 0\n", "workers", id="config-workers-0"),
         pytest.param([], _SWEEP_BASE + "workers = -3\n", "workers", id="config-workers--3"),
         pytest.param(["--workers", "0"], _SWEEP_BASE, "workers", id="sweep-workers-flag-0"),
+        pytest.param(_RAMSEY + ["nan"], None, "grid --phi", id="ramsey-phi-nan"),
+        pytest.param(_RAMSEY + ["0.3,inf"], None, "grid --phi", id="ramsey-phi-list-inf"),
+        pytest.param(_RAMSEY + ["1e400"], None, "grid --phi", id="ramsey-phi-overflow"),
+        pytest.param(_RAMSEY + ["0:inf:3"], None, "grid --phi", id="ramsey-phi-stop-inf"),
+        pytest.param(_RAMSEY[:-1] + ["--phi=-inf:1:1"], None, "grid --phi", id="ramsey-phi-start--inf"),
+        pytest.param(_CHANNEL + ["nan:1:3"], None, "grid --p", id="channel-p-start-nan"),
+        pytest.param(_CHANNEL + ["0.1,nan"], None, "grid --p", id="channel-p-list-nan"),
+        pytest.param([], "op = ramsey\ngrid.n = 8\ngrid.state = css\ngrid.readout = jz\n"
+                     "grid.phi = 0.2,-inf\n", "grid phi", id="config-phi-list--inf"),
+        pytest.param([], "op = oat\ngrid.n = 12\ngrid.theta = 0:nan:4\n", "grid theta",
+                     id="config-theta-stop-nan"),
     ],
 )
 def test_bad_count_is_usage_error(tmp_path, capsys, argv, config, name):
@@ -423,37 +436,6 @@ def test_bad_count_is_usage_error(tmp_path, capsys, argv, config, name):
     assert code == 2
     assert out == ""
     assert name in err
-
-
-_RAMSEY = ["ramsey", "--n", "10", "--phi"]
-_CHANNEL = ["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p"]
-
-
-@pytest.mark.parametrize(
-    "argv, config, name",
-    [
-        pytest.param(_RAMSEY + ["nan"], None, "--phi", id="ramsey-phi-nan"),
-        pytest.param(_RAMSEY + ["0.3,inf"], None, "--phi", id="ramsey-phi-list-inf"),
-        pytest.param(_RAMSEY + ["1e400"], None, "--phi", id="ramsey-phi-overflow"),
-        pytest.param(_RAMSEY + ["0:inf:3"], None, "--phi", id="ramsey-phi-stop-inf"),
-        pytest.param(_RAMSEY[:-1] + ["--phi=-inf:1:1"], None, "--phi", id="ramsey-phi-start--inf"),
-        pytest.param(_CHANNEL + ["nan:1:3"], None, "--p", id="channel-p-start-nan"),
-        pytest.param(_CHANNEL + ["0.1,nan"], None, "--p", id="channel-p-list-nan"),
-        pytest.param([], "op = ramsey\ngrid.n = 8\ngrid.state = css\ngrid.readout = jz\n"
-                     "grid.phi = 0.2,-inf\n", "grid phi", id="config-phi-list--inf"),
-        pytest.param([], "op = oat\ngrid.n = 12\ngrid.theta = 0:nan:4\n", "grid theta",
-                     id="config-theta-stop-nan"),
-    ],
-)
-def test_non_finite_grid_is_usage_error(tmp_path, capsys, argv, config, name):
-    if config is not None:
-        path = tmp_path / "sweep.cfg"
-        path.write_text(config)
-        argv = ["sweep", "--config", str(path), *argv]
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert name in err and "finite" in err
 
 
 _HUSIMI = ["husimi", "--n", "8"]
