@@ -259,7 +259,6 @@ class TestReadout:
                     assert abs(ref_slope) < 2e-12 * max(1.0, n)
                 else:
                     assert abs(slope - ref_slope) < 1e-12 * slope_scale
-                if slope is not None:
                     res = ramsey_sensitivity(st, phi, readout)
                     assert res.phase_variance == variance / slope**2
                 assert ramsey_signal(st, phi, readout) == (signal, math.sqrt(variance))
@@ -283,7 +282,7 @@ class TestReadout:
     def test_sweep_makes_one_readout_per_point(self, monkeypatch):
         counts = {"rotate": 0, "moments": 0}
         for name in counts:
-            original = getattr(sq.states, name)
+            original = getattr(sys.modules["spinsqueeze.states"], name)
 
             def counting(*args, _original=original, _name=name):
                 counts[_name] += 1
