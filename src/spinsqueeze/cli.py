@@ -1,18 +1,18 @@
 """Command-line front end and sweep engine.
 
 Every number is serialized with 17 significant digits so outputs are
-byte-identical across runs and worker counts; CSV is the contract format,
+byte-identical across runs; CSV is the contract format,
 JSON mirrors it and SVG is a convenience quick-look chart.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
+import itertools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +232,6 @@ class SweepConfig:
     grids: dict  # parameter name -> list of values, in declaration order
     out_format: str = "csv"
     out_path: str | None = None
-    workers: int | None = None
 
     def __post_init__(self):
         if self.op not in SWEEP_OPS:
@@ -250,10 +249,6 @@ class SweepConfig:
         missing = [p for p in params if p not in self.grids]
         if missing:
             raise SweepConfigError(f"missing grids for parameters: {missing}")
-        if self.workers is not None and not (
-            isinstance(self.workers, (int, np.integer)) and self.workers >= 1
-        ):
-            raise SweepConfigError(f"workers must be a positive integer, got {self.workers!r}")
 
 
 def _parse_scalar(text: str):
@@ -323,8 +318,6 @@ def parse_sweep_config(path: str) -> SweepConfig:
                 kw["out_format"] = str(_parse_scalar(value))
             elif key == "out":
                 kw["out_path"] = str(_parse_scalar(value))
-            elif key == "workers":
-                kw["workers"] = _parse_scalar(value)
             else:
                 raise SweepConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if op is None:
@@ -332,48 +325,20 @@ def parse_sweep_config(path: str) -> SweepConfig:
     return SweepConfig(op=str(op), grids=grids, **kw)
 
 
-def _worker_count(requested: int | None) -> int:
-    cap = os.environ.get("SQZ_THREADS")
-    try:
-        cap_n = max(1, int(cap)) if cap else None
-    except ValueError:
-        raise SweepConfigError(f"SQZ_THREADS must be an integer, got {cap!r}") from None
-    n = requested or os.cpu_count() or 1
-    if cap_n is not None:
-        n = min(n, cap_n)
-    return max(1, n)
-
-
 def sweep(cfg: SweepConfig):
-    """Cartesian-product evaluation with a stable, parallelism-independent
-    row order; per-point failures become flagged rows."""
+    """Cartesian-product evaluation, one point at a time in lexicographic grid
+    order; per-point failures become flagged rows."""
     params, fn = SWEEP_OPS[cfg.op]
-    names = [p for p in params if p in cfg.grids]
-    import itertools
-
-    points = list(itertools.product(*(cfg.grids[name] for name in names)))
-
-    def run_point(values):
-        kwargs = dict(zip(names, values))
-        base = {name: kwargs[name] for name in names}
+    rows = []
+    for values in itertools.product(*(cfg.grids[name] for name in params)):
+        row = dict(zip(params, values))
         try:
-            row = fn(**kwargs)
-            out = dict(base)
-            out.update(row)
-            out["status"] = "ok"
-            return out
+            row.update(fn(**row))
+            row["status"] = "ok"
         except Exception as exc:  # per-point numeric failure, not an abort
-            out = dict(base)
             msg = str(exc).replace(",", ";").replace("\n", " ")
-            out["status"] = f"error: {msg}"
-            return out
-
-    workers = _worker_count(cfg.workers)
-    if workers == 1:
-        rows = [run_point(vals) for vals in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_point, points))
+            row["status"] = f"error: {msg}"
+        rows.append(row)
     columns: list[str] = []
     for row in rows:
         for key in row:
@@ -387,14 +352,10 @@ def sweep(cfg: SweepConfig):
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="spinsqueeze", description=__doc__)
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
+    parser = argparse.ArgumentParser(prog="spinsqueeze", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -470,7 +431,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="cartesian sweep driven by a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=None)
     return parser
 
 
@@ -608,8 +568,6 @@ def _cmd_husimi(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_sweep_config(args.config)
-    if args.workers is not None:
-        cfg = dataclasses.replace(cfg, workers=args.workers)
     columns, rows = sweep(cfg)
     _write_rows(columns, rows, cfg.out_format, cfg.out_path, title=f"sweep {cfg.op}")
     return EXIT_OK

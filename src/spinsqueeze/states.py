@@ -264,9 +264,10 @@ class _EigenCache:
 
     The bound is on the bytes of array data held, so a few large-N entries
     cannot pin more memory than many small ones. An entry larger than the
-    whole bound is built and returned but not kept. Sweep worker threads
-    share one instance, hence the lock; two threads missing on the same key
-    both build it, which costs time but not correctness.
+    whole bound is built and returned but not kept. Library callers may
+    share the module caches across their own threads, hence the lock; two
+    threads missing on the same key both build it, which costs time but not
+    correctness.
     """
 
     def __init__(self, max_bytes: int):

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import spinsqueeze as sq
-from spinsqueeze import states
+from spinsqueeze import cli, states
 from spinsqueeze.cli import SweepConfig, run_cli, sweep
 
 
@@ -37,6 +41,22 @@ class TestExitCodes:
         code, out, _ = run(capsys, "oat", "--n", "12", "--theta", "0.3")
         assert code == 0
         assert out.startswith("n,")
+
+    def test_parser_reuse_matches_fresh_process(self, capsys, monkeypatch):
+        # the parser is built once per process; a refused parse must not
+        # change what later calls write
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sq.__file__)))
+        for argv in (
+            ["oat", "--n", "abc", "--theta", "0.3"],
+            ["oat", "--n", "12", "--theta", "0.3"],
+            ["husimi", "--n", "6", "--theta", "1.1", "--n-theta", "3", "--n-phi", "4"],
+        ):
+            fresh = subprocess.run(
+                [sys.executable, "-c", "from spinsqueeze.cli import main; main()", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestOatCommand:
@@ -168,34 +188,19 @@ class TestSweep:
         assert all(a > b for a, b in zip(vals[: k], vals[1 : k + 1]))
         assert all(a < b for a, b in zip(vals[k : -1], vals[k + 1 :]))
 
-    def test_parallel_matches_serial(self, tmp_path):
-        base = "op = channel\ngrid.channel = pdc\ngrid.n = 10\ngrid.theta0 = 0.4,0.9\ngrid.p = 0:0.9:7\n"
-        cfg = self.write_config(tmp_path, base)
-        out1, out2 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        cfg1 = self.write_config(tmp_path, base + f"workers = 1\nout = {out1}\n")
-        assert run_cli(["sweep", "--config", cfg1]) == 0
-        cfg4 = self.write_config(tmp_path, base + f"workers = 4\nout = {out2}\n")
-        assert run_cli(["sweep", "--config", cfg4]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_points_run_in_calling_thread(self, monkeypatch):
+        params, fn = cli.SWEEP_OPS["oat"]
+        seen = []
 
-    def test_env_thread_cap_keeps_output(self, tmp_path, monkeypatch):
-        base = "op = oat\ngrid.n = 12\ngrid.theta = 0.1:1.2:9\n"
-        out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
-        cfg = self.write_config(tmp_path, base + f"workers = 8\nout = {out1}\n")
-        monkeypatch.setenv("SQZ_THREADS", "1")
-        assert run_cli(["sweep", "--config", cfg]) == 0
-        monkeypatch.delenv("SQZ_THREADS")
-        cfg2 = self.write_config(tmp_path, base + f"workers = 8\nout = {out2}\n")
-        assert run_cli(["sweep", "--config", cfg2]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        def recording(**kwargs):
+            seen.append(threading.get_ident())
+            return fn(**kwargs)
 
-    def test_malformed_thread_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        cfg = self.write_config(tmp_path, "op = oat\ngrid.n = 12\ngrid.theta = 0.1\nworkers = 1\n")
-        monkeypatch.setenv("SQZ_THREADS", "abc")
-        code, out, err = run(capsys, "sweep", "--config", cfg)
-        assert code == 2
-        assert out == ""
-        assert "SQZ_THREADS" in err
+        monkeypatch.setitem(cli.SWEEP_OPS, "oat", (params, recording))
+        grids = {"n": [12, 40], "theta": list(np.linspace(0.1, 1.0, 16))}
+        _, rows = sweep(SweepConfig("oat", grids))
+        assert [row["status"] for row in rows] == ["ok"] * 32
+        assert seen == [threading.get_ident()] * 32
 
     def test_non_finite_lmg_point_flagged(self, tmp_path, capsys):
         # the config parser refuses a non-finite grid value; a sweep built in
@@ -205,7 +210,7 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "grid h" in err
         grids = {"n": [8], "h": [0.5, float("nan")], "gamma": [0.2]}
-        _, rows = sweep(SweepConfig("lmg", grids, workers=1))
+        _, rows = sweep(SweepConfig("lmg", grids))
         assert [row["status"] for row in rows] == ["ok", "error: h must be finite"]
 
     def test_unknown_operation_rejected(self, tmp_path, capsys):
@@ -244,7 +249,7 @@ class TestSweep:
         monkeypatch.setattr(np.linalg, "eigh", no_dense)
         monkeypatch.setattr(states, "eigh_tridiagonal", counting)
         monkeypatch.setattr(states, "_GENERATOR_EIGEN", states._EigenCache(states._EIGEN_CACHE_BYTES))
-        cfg = self.write_config(tmp_path, "op = tat\ngrid.n = 40\ngrid.chi_t = 0.01:0.4:16\nworkers = 1\n")
+        cfg = self.write_config(tmp_path, "op = tat\ngrid.n = 40\ngrid.chi_t = 0.01:0.4:16\n")
         code, out, _ = run(capsys, "sweep", "--config", cfg)
         assert code == 0
         statuses = [ln.rsplit(",", 1)[-1] for ln in out.strip().splitlines()[1:]]
@@ -409,11 +414,9 @@ _CHANNEL = ["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p"]
                      id="tat-points--3"),
         pytest.param(["tat", "--n", "8", "--chi-t", "0.1", "--points", "0"], None, "--points",
                      id="tat-points-0"),
-        pytest.param([], _SWEEP_BASE + "workers = 2.5\n", "workers", id="config-workers-2.5"),
-        pytest.param([], _SWEEP_BASE + "workers = abc\n", "workers", id="config-workers-abc"),
-        pytest.param([], _SWEEP_BASE + "workers = 0\n", "workers", id="config-workers-0"),
-        pytest.param([], _SWEEP_BASE + "workers = -3\n", "workers", id="config-workers--3"),
-        pytest.param(["--workers", "0"], _SWEEP_BASE, "workers", id="sweep-workers-flag-0"),
+        pytest.param([], _SWEEP_BASE + "workers = 4\n", "unknown key 'workers'", id="config-workers-4"),
+        pytest.param(["--workers", "2"], _SWEEP_BASE, "--workers", id="sweep-workers-flag-2"),
+        pytest.param(["oat", "--n", "abc", "--theta", "0.3"], None, "argument --n", id="oat-n-abc"),
         pytest.param(_RAMSEY + ["nan"], None, "grid --phi", id="ramsey-phi-nan"),
         pytest.param(_RAMSEY + ["0.3,inf"], None, "grid --phi", id="ramsey-phi-list-inf"),
         pytest.param(_RAMSEY + ["1e400"], None, "grid --phi", id="ramsey-phi-overflow"),

@@ -294,7 +294,7 @@ class TestReadout:
                     monkeypatch.setattr(mod, name, counting)
         grids = {"n": [40], "state": ["css", "sss", "ghz"], "readout": ["jz", "parity"],
                  "phi": [0.3, 0.9, 1.7, 2.4]}
-        _, rows = sweep(SweepConfig("ramsey", grids, workers=1))
+        _, rows = sweep(SweepConfig("ramsey", grids))
         assert len(rows) == 24 and all(row["status"] == "ok" for row in rows)
         # 16 rotations prepare the sss and ghz states, one per parity point
         assert counts == {"rotate": 28, "moments": 12}
