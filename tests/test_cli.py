@@ -414,8 +414,15 @@ _CHANNEL = ["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p"]
                      id="tat-points--3"),
         pytest.param(["tat", "--n", "8", "--chi-t", "0.1", "--points", "0"], None, "--points",
                      id="tat-points-0"),
-        pytest.param([], _SWEEP_BASE + "workers = 4\n", "unknown key 'workers'", id="config-workers-4"),
-        pytest.param(["--workers", "2"], _SWEEP_BASE, "--workers", id="sweep-workers-flag-2"),
+        *[
+            pytest.param([], _SWEEP_BASE + f"workers = {value}\n", "unknown key 'workers'",
+                         id=f"config-workers-{value}")
+            for value in ("4", "2.5", "abc", "0", "-3")
+        ],
+        *[
+            pytest.param(["--workers", value], _SWEEP_BASE, "--workers", id=f"sweep-workers-flag-{value}")
+            for value in ("2", "0")
+        ],
         pytest.param(["oat", "--n", "abc", "--theta", "0.3"], None, "argument --n", id="oat-n-abc"),
         pytest.param(_RAMSEY + ["nan"], None, "grid --phi", id="ramsey-phi-nan"),
         pytest.param(_RAMSEY + ["0.3,inf"], None, "grid --phi", id="ramsey-phi-list-inf"),
