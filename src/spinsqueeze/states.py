@@ -20,7 +20,7 @@ import json
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -77,8 +77,6 @@ class SymmetricState:
 
     n_particles: int
     amplitudes: np.ndarray
-    # filled by the first moments() call; the amplitudes are read-only, so it stays valid
-    _moments: "MomentSet | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = _check_n(self.n_particles)
@@ -422,24 +420,6 @@ def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
     return SymmetricState(n, _propagate(c, gauge, [(0, 1, w, v)], angle))
 
 
-def _shifted_pivots_positive(a: list, shift: float) -> bool:
-    """True if the symmetric 3x3 ``a`` + shift * I has positive LDL^T pivots,
-    i.e. is positive definite, so every eigenvalue of ``a`` exceeds -shift.
-
-    Plain float arithmetic: numpy's per-call cost dominates at 3x3.
-    """
-    d0 = a[0][0] + shift
-    if not d0 > 0.0:
-        return False
-    l10, l20 = a[1][0] / d0, a[2][0] / d0
-    d1 = a[1][1] + shift - l10 * a[1][0]
-    if not d1 > 0.0:
-        return False
-    r21 = a[2][1] - l20 * a[1][0]
-    d2 = a[2][2] + shift - l20 * a[2][0] - r21 * r21 / d1
-    return d2 > 0.0
-
-
 @dataclass(frozen=True)
 class MomentSet:
     """First and symmetrized second moments of the collective spin.
@@ -468,19 +448,16 @@ class MomentSet:
         ):
             raise ValueError("mean must be a 3-vector and corr, cov, gamma_big 3x3 matrices")
         # elementwise on Python floats: numpy's per-call cost dominates at 3x3
-        rows, scales = {}, {}
+        scales = {}
         for name in ("corr", "cov", "gamma_big"):
-            a = rows[name] = getattr(self, name).tolist()
+            a = getattr(self, name).tolist()
             scales[name] = max(1.0, *map(abs, a[0] + a[1] + a[2]))
             asym = max(abs(a[0][1] - a[1][0]), abs(a[0][2] - a[2][0]), abs(a[1][2] - a[2][1]))
             if asym > 1e-10 * scales[name]:
                 raise ValueError(f"{name} matrix is not symmetric")
-        tol = 1e-10 * scales["cov"]
-        if not _shifted_pivots_positive(rows["cov"], tol):
-            # only a borderline or failing matrix pays for the eigensolver
-            lo = np.linalg.eigvalsh(self.cov)[0]
-            if lo < -tol:
-                raise ValueError(f"covariance matrix has negative eigenvalue {lo!r}")
+        lo = np.linalg.eigvalsh(self.cov)[0]
+        if lo < -1e-10 * scales["cov"]:
+            raise ValueError(f"covariance matrix has negative eigenvalue {lo!r}")
 
     @classmethod
     def from_mean_corr(cls, n_particles: int, mean, corr) -> "MomentSet":
@@ -515,10 +492,7 @@ def moments(state: SymmetricState) -> MomentSet:
     Every moment is a sum over at most three diagonals of the Dicke basis:
     <J_+> = <J_x> + i<J_y>, <J_+^2> gives the transverse second moments,
     <{J_+, J_z}>/2 the xz and yz ones, and J_x^2 + J_y^2 = J^2 - J_z^2.
-    The result is kept on the state, so asking again costs nothing.
     """
-    if state._moments is not None:
-        return state._moments
     n = state.n_particles
     m, m2, f, fz, f2 = _moment_tables(n)
     c = np.asarray(state.amplitudes, dtype=complex)
@@ -539,9 +513,7 @@ def moments(state: SymmetricState) -> MomentSet:
             [jpz.real, jpz.imag, jz2],
         ]
     )
-    mset = MomentSet.from_mean_corr(n, mean, corr)
-    object.__setattr__(state, "_moments", mset)
-    return mset
+    return MomentSet.from_mean_corr(n, mean, corr)
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,7 @@ def test_criterion_02_oat_closed_forms():
             c0[-1] = 1.0  # |j, -j>
             vc0 = v.T @ c0
             for theta in thetas:
-                z = np.exp(-1j * theta / 2.0 * w**2) * vc0
-                # two real products: v @ z would copy v to complex every angle
-                amps = v @ z.real + 1j * (v @ z.imag)
+                amps = v @ (np.exp(-1j * theta / 2.0 * w**2) * vc0)
                 st = sq.SymmetricState(n, amps)
                 lm = sq.local_moments(st)
                 ref = oat_closed_form(n, theta)

@@ -262,30 +262,6 @@ class TestMoments:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             sq.MomentSet(5, good.mean, good.corr, -np.eye(3), good.gamma_big, good.j_squared)
 
-    def test_covariance_check_at_its_tolerance(self):
-        good = sq.moments(random_state(5, 1))
-        rot = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))[0]
-        build = lambda lo: rot @ np.diag([lo, 0.7, 2.5]) @ rot.T
-        tol = 1e-10 * max(1.0, np.max(np.abs(build(0.0))))
-        for lo, ok in ((0.0, True), (-0.5 * tol, True), (-2.0 * tol, False), (-0.3, False)):
-            cov = build(lo)
-            cov = (cov + cov.T) / 2.0
-            assert states._shifted_pivots_positive(cov.tolist(), tol) == (lo > -tol)
-            if ok:
-                sq.MomentSet(5, good.mean, good.corr, cov, good.gamma_big, good.j_squared)
-            else:
-                with pytest.raises(ValueError, match="negative eigenvalue"):
-                    sq.MomentSet(5, good.mean, good.corr, cov, good.gamma_big, good.j_squared)
-
-    def test_moments_kept_on_state(self):
-        st = random_state(7, 3)
-        first = sq.moments(st)
-        assert sq.moments(st) is first
-        assert "_moments" not in repr(st)
-        # a state built from the same amplitudes computes its own, equal set
-        again = sq.moments(sq.SymmetricState(7, st.amplitudes))
-        assert again is not first and np.array_equal(again.corr, first.corr)
-
     def test_j_squared_fixed(self):
         for n in (2, 5, 12):
             m = sq.moments(random_state(n, n))
