@@ -1,12 +1,9 @@
 """Collective-spin squeezing simulation and analysis toolkit."""
 
 from .states import (
-    CollectiveOperator,
     LocalMoments,
     MomentSet,
-    OperatorSet,
     SymmetricState,
-    build_operators,
     collective_from_local,
     css,
     dicke,
@@ -15,7 +12,6 @@ from .states import (
     local_moments,
     moments,
     rotate,
-    spin_matrices,
     state_from_csv,
     state_from_json,
     state_to_csv,

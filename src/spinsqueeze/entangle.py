@@ -22,7 +22,15 @@ from typing import Optional
 
 import numpy as np
 
-from .states import MomentSet, SymmetricState, _apply_jm, _apply_jp, _moment_tables, moments
+from .states import (
+    MomentSet,
+    SymmetricState,
+    _apply_jm,
+    _apply_jp,
+    _density_eigh,
+    _moment_tables,
+    moments,
+)
 from .metrics import mean_spin_direction, min_transverse_variance, transverse_frame
 
 __all__ = [
@@ -122,13 +130,7 @@ def concurrence_general(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("density matrix must be 4x4")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise ValueError("density matrix does not have unit trace")
-    evals, vecs = np.linalg.eigh(rho)
-    if evals[0] < -1e-9:
-        raise ValueError(f"density matrix is not positive semidefinite ({evals[0]:.3e})")
+    evals, vecs = _density_eigh(rho)
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     flip = np.kron(sy, sy)
     # the flip-map eigenvalues are the singular values of

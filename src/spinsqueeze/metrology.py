@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .states import CollectiveOperator, SymmetricState, _moment_tables, dicke, moments, rotate
+from .states import SymmetricState, _density_eigh, _moment_tables, dicke, moments, rotate
 
 __all__ = [
     "EstimationResult",
@@ -63,27 +63,11 @@ def _dimension(state_or_rho: StateOrRho) -> int:
 
 def _as_matrix(generator, state_or_rho: StateOrRho) -> np.ndarray:
     """The generator as a dense matrix, refused unless it is (N+1)x(N+1)."""
-    if isinstance(generator, CollectiveOperator):
-        generator = generator.matrix
     gen = np.asarray(generator, dtype=complex)
     dim = _dimension(state_or_rho)
     if gen.shape != (dim, dim):
         raise ValueError(f"generator must have shape {(dim, dim)}, got {gen.shape}")
     return gen
-
-
-def _validate_rho(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise ValueError("density matrix does not have unit trace")
-    lo = np.linalg.eigvalsh(rho)[0]
-    if lo < -1e-9:
-        raise ValueError(f"density matrix is not positive semidefinite ({lo:.3e})")
-    return rho
 
 
 def qfi_rotation(state_or_rho: StateOrRho, generator) -> float:
@@ -99,8 +83,7 @@ def qfi_rotation(state_or_rho: StateOrRho, generator) -> float:
         mean = np.vdot(c, gc).real
         second = np.vdot(gc, gc).real
         return float(4.0 * (second - mean**2))
-    rho = _validate_rho(state_or_rho)
-    p, v = np.linalg.eigh(rho)
+    p, v = _density_eigh(state_or_rho)
     p = np.where(p < _EIG_CUTOFF, 0.0, p)
     a = v.conj().T @ gen @ v
     pi = p[:, None]
@@ -131,9 +114,10 @@ def _pi_pulse(state: SymmetricState) -> SymmetricState:
     return SymmetricState(n, np.exp(-0.5j * math.pi * n) * state.amplitudes[::-1])
 
 
-def _readout(initial: SymmetricState, phi: float, readout: str) -> tuple:
+def _readout(initial: SymmetricState, phi: float, readout: str, m0=None) -> tuple:
     """(signal, variance, slope) of the readout observable O after
     exp(-i phi J_y) exp(-i pi J_x): <O>, (Delta O)^2 and d<O>/dphi.
+    ``m0`` is ``moments(initial)`` when the caller already has it.
 
     The slope is None where |d<O>/dphi| < 1e-12 max(1, N), since such an
     operating point carries no phase information.
@@ -145,7 +129,7 @@ def _readout(initial: SymmetricState, phi: float, readout: str) -> tuple:
     n = initial.n_particles
     if readout == "jz":
         # U^dagger J_z U = -J_x sin(phi) - J_z cos(phi) on the initial state
-        m0 = moments(initial)
+        m0 = moments(initial) if m0 is None else m0
         cos, sin = math.cos(phi), math.sin(phi)
         signal = -m0.mean[0] * sin - m0.mean[2] * cos
         variance = cos**2 * m0.cov[2, 2] + sin**2 * m0.cov[0, 0]
@@ -177,12 +161,13 @@ def ramsey_sensitivity(
     """
     if n_repeats < 1:
         raise ValueError("need n_repeats >= 1")
-    _, variance, slope = _readout(initial, phi, readout)
+    m0 = moments(initial)
+    _, variance, slope = _readout(initial, phi, readout, m0)
     if slope is None:
         raise ValueError("zero signal slope: unusable operating point")
     n = initial.n_particles
     # pure-state QFI for the J_y phase; the pi pulse only flips the sign of J_y
-    qfi = 4.0 * float(moments(initial).cov[1, 1])
+    qfi = 4.0 * float(m0.cov[1, 1])
     return EstimationResult(
         phase_variance=float(variance / (n_repeats * slope**2)),
         omega_variance=None,

@@ -122,6 +122,11 @@ class QNDSpec:
             raise ValueError("need at least one atom and one photon")
         if not 0.0 <= self.eta < 1.0:
             raise ValueError("loss fraction must lie in [0, 1)")
+        if not math.isfinite(self.chi):
+            raise ValueError("coupling chi must be finite")
+        # chi * chi overflows to inf where chi**2 in kappa2 would raise
+        if not math.isfinite(self.n_photons * self.n_atoms * self.chi * self.chi):
+            raise ValueError("kappa^2 = n N chi^2 / 4 must be finite; coupling chi is too large")
 
     @property
     def kappa2(self) -> float:

@@ -1,4 +1,4 @@
-"""Symmetric N-qubit states in the Dicke basis and collective spin operators.
+"""Symmetric N-qubit states in the Dicke basis and banded collective-spin kernels.
 
 States of N spin-1/2 particles restricted to the maximal angular-momentum
 sector j = N/2 are stored as complex amplitude vectors of length N + 1.
@@ -28,13 +28,9 @@ from scipy.special import gammaln
 
 __all__ = [
     "SymmetricState",
-    "CollectiveOperator",
-    "OperatorSet",
     "MomentSet",
     "LocalMoments",
     "m_values",
-    "build_operators",
-    "spin_matrices",
     "css",
     "dicke",
     "rotate",
@@ -64,11 +60,6 @@ def m_values(n_particles: int) -> np.ndarray:
     """J_z eigenvalues in storage order: +j, j-1, ..., -j with j = N/2."""
     n = _check_n(n_particles)
     return n / 2.0 - np.arange(n + 1)
-
-
-def _ladder_plus_coeff(j: float, m: np.ndarray) -> np.ndarray:
-    # <j,m+1| J_+ |j,m> = sqrt(j(j+1) - m(m+1))
-    return np.sqrt(np.maximum(j * (j + 1) - m * (m + 1), 0.0))
 
 
 @dataclass(frozen=True)
@@ -113,82 +104,21 @@ class SymmetricState:
         return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0)
 
 
-@dataclass(frozen=True)
-class CollectiveOperator:
-    """Dense (N+1)x(N+1) operator in the Dicke basis."""
-
-    n_particles: int
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        n = _check_n(self.n_particles)
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (n + 1, n + 1):
-            raise ValueError(f"matrix shape {mat.shape} does not match N={n}")
-        if self.hermitian and np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValueError("matrix declared hermitian is not self-adjoint")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
-class OperatorSet:
-    """Dense collective operators of ``build_operators``: a reference for tests,
-    used by no computation in the package."""
-
-    jx: CollectiveOperator
-    jy: CollectiveOperator
-    jz: CollectiveOperator
-    jplus: CollectiveOperator
-    jminus: CollectiveOperator
-    j_squared: CollectiveOperator
-    parity: CollectiveOperator
-
-
-def spin_matrices(j: float) -> dict[str, np.ndarray]:
-    """Angular momentum matrices for a single spin of size j (dimension 2j+1).
-
-    Basis order is m = +j down to -j, matching the Dicke-state storage order.
-    Dense (2j+1)x(2j+1) references for tests and ``build_operators``; no
-    computation in the package uses them.
-    """
-    dim = int(round(2 * j)) + 1
-    if abs(2 * j - round(2 * j)) > 1e-9 or j <= 0:
-        raise ValueError(f"spin size j={j!r} must be a positive integer or half-integer")
-    m = j - np.arange(dim)
-    f = _ladder_plus_coeff(j, m)
-    jp = np.zeros((dim, dim), dtype=complex)
-    # J_+ maps index i (value m_i) to index i-1 (value m_i + 1)
-    jp[np.arange(dim - 1), np.arange(1, dim)] = f[1:]
-    jm = jp.conj().T
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
-    jz = np.diag(m).astype(complex)
-    return {"jx": jx, "jy": jy, "jz": jz, "jp": jp, "jm": jm}
-
-
-def build_operators(n_particles: int) -> OperatorSet:
-    """Collective operators J_x, J_y, J_z, J_+, J_-, J^2 and parity for N qubits.
-
-    Dense (N+1)x(N+1) references used only by tests; no computation in the
-    package builds them.
-    """
-    n = _check_n(n_particles)
-    mats = spin_matrices(n / 2.0)
-    j2 = mats["jx"] @ mats["jx"] + mats["jy"] @ mats["jy"] + mats["jz"] @ mats["jz"]
-    par = np.diag((-1.0) ** (n - np.arange(n + 1))).astype(complex)
-    mk = lambda m, herm: CollectiveOperator(n, m, hermitian=herm)
-    return OperatorSet(
-        jx=mk(mats["jx"], True),
-        jy=mk(mats["jy"], True),
-        jz=mk(mats["jz"], True),
-        jplus=mk(mats["jp"], False),
-        jminus=mk(mats["jm"], False),
-        j_squared=mk(j2, True),
-        parity=mk(par, True),
-    )
+def _density_eigh(rho) -> tuple:
+    """(p, v) from one ``eigh`` of a density matrix, refused unless it is
+    square, Hermitian and of unit trace within 1e-9 and has no eigenvalue
+    below -1e-9."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-9:
+        raise ValueError("density matrix does not have unit trace")
+    p, v = np.linalg.eigh(rho)
+    if p[0] < -1e-9:
+        raise ValueError(f"density matrix is not positive semidefinite ({p[0]:.3e})")
+    return p, v
 
 
 def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
@@ -303,8 +233,25 @@ class _EigenCache:
 # at N = 2000
 _EIGEN_CACHE_BYTES = 32 * 2**20
 _GENERATOR_EIGEN = _EigenCache(_EIGEN_CACHE_BYTES)
-# moments() tables: five N-vectors per N, hundreds of entries at N = 200
+# per-N ladder weights: five N-vectors per N, hundreds of entries at N = 200
 _MOMENT_TABLES = _EigenCache(4 * 2**20)
+
+
+def _moment_tables(n: int) -> tuple:
+    """Per-N ladder weights, cached and read-only: m_k, m_k^2,
+    f_k = <k|J_+|k+1>, f_k (m_k + m_{k+1})/2 and f_k f_{k+1} = <k|J_+^2|k+2>.
+
+    Every banded kernel in the package reads m and the J_+- weights here.
+    """
+
+    def build():
+        m = m_values(n)
+        j = n / 2.0
+        # <j,m+1| J_+ |j,m> = sqrt(j(j+1) - m(m+1)) for m = m_{k+1}
+        f = np.sqrt(np.maximum(j * (j + 1) - m[1:] * (m[1:] + 1), 0.0))
+        return m, m * m, f, f * (m[:-1] + m[1:]) / 2.0, f[:-1] * f[1:]
+
+    return _MOMENT_TABLES.get(n, build)
 
 
 def _real_matmul(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -339,9 +286,8 @@ def _axis_eigensystem(n: int, axis: tuple) -> tuple:
     """
 
     def build():
-        m = m_values(n)
-        f = _ladder_plus_coeff(n / 2.0, m)
-        t = 0.5 * (axis[0] - 1j * axis[1]) * f[1:]  # couples index i to i-1
+        m, _, f, _, _ = _moment_tables(n)
+        t = 0.5 * (axis[0] - 1j * axis[1]) * f  # couples index i to i-1
         phases = np.zeros(n + 1)
         phases[1:] = -np.cumsum(np.angle(t))
         w, v = eigh_tridiagonal(axis[2] * m, np.abs(t))
@@ -414,7 +360,7 @@ def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
     c = state.amplitudes
     if ax[0] ** 2 + ax[1] ** 2 < 1e-30:
         # pure J_z rotation, diagonal
-        out = np.exp(-1j * angle * ax[2] * m_values(n)) * c
+        out = np.exp(-1j * angle * ax[2] * _moment_tables(n)[0]) * c
         return SymmetricState(n, out)
     w, v, gauge = _axis_eigensystem(n, (float(ax[0]), float(ax[1]), float(ax[2])))
     return SymmetricState(n, _propagate(c, gauge, [(0, 1, w, v)], angle))
@@ -471,19 +417,6 @@ class MomentSet:
     @property
     def mean_length(self) -> float:
         return float(np.linalg.norm(self.mean))
-
-
-def _moment_tables(n: int) -> tuple:
-    """Per-N weights of the moment sums, cached and read-only: m_k, m_k^2,
-    f_k = <k|J_+|k+1>, f_k (m_k + m_{k+1})/2 and f_k f_{k+1} = <k|J_+^2|k+2>.
-    """
-
-    def build():
-        m = m_values(n)
-        f = _ladder_plus_coeff(n / 2.0, m)[1:]
-        return m, m * m, f, f * (m[:-1] + m[1:]) / 2.0, f[:-1] * f[1:]
-
-    return _MOMENT_TABLES.get(n, build)
 
 
 def moments(state: SymmetricState) -> MomentSet:

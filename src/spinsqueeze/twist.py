@@ -22,10 +22,10 @@ from .states import (
     LocalMoments,
     SymmetricState,
     _axis_eigensystem,
+    _moment_tables,
     _parity_eigensystem,
     _propagate,
     collective_from_local,
-    m_values,
     moments,
     rotate,
 )
@@ -89,6 +89,10 @@ class KickedTopSpec:
     def __post_init__(self):
         if self.j <= 0 or abs(2 * self.j - round(2 * self.j)) > 1e-9:
             raise ValueError("spin size j must be a positive (half-)integer")
+        if not math.isfinite(self.kappa):
+            raise ValueError("kick strength kappa must be finite")
+        if not math.isfinite(self.p):
+            raise ValueError("kick angle p must be finite")
 
 
 def _eigensystem(n: int, h: HamiltonianSpec) -> tuple:
@@ -122,7 +126,7 @@ def evolve(state: SymmetricState, h: HamiltonianSpec, t: float) -> SymmetricStat
     n = state.n_particles
     c = state.amplitudes
     if h.kind == OAT_Z:
-        return SymmetricState(n, np.exp(-1j * h.chi * t * m_values(n) ** 2) * c)
+        return SymmetricState(n, np.exp(-1j * h.chi * t * _moment_tables(n)[1]) * c)
     blocks, gauge = _eigensystem(n, h)
     return SymmetricState(n, _propagate(c, gauge, blocks, t))
 
@@ -141,6 +145,8 @@ def oat_closed_form(n_particles: int, theta: float) -> LocalMoments:
     n = int(n_particles)
     if n < 2:
         raise ValueError("one-axis twisting pair moments need N >= 2")
+    if not math.isfinite(theta):
+        raise ValueError("twist angle theta must be finite")
     half = theta / 2.0
     cos_n1 = math.cos(half) ** (n - 1)
     cos_n2 = math.cos(theta) ** (n - 2)
@@ -249,8 +255,7 @@ def kicked_top_trajectory(
     n = initial.n_particles
     if abs(spec.j - n / 2.0) > 1e-9:
         raise ValueError(f"spec.j={spec.j} does not match the state (N={n})")
-    m = m_values(n)
-    twist_phases = np.exp(-1j * spec.kappa / (2.0 * spec.j) * m**2)
+    twist_phases = np.exp(-1j * spec.kappa / (2.0 * spec.j) * _moment_tables(n)[1])
     psi = initial
     reports: list[SqueezingReport] = []
     means = np.zeros((n_kicks, 3))

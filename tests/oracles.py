@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to validate the Dicke-basis code.
 
-Everything here works in the full 2^N tensor-product space and never touches
-the package's collective-spin shortcuts, so agreement between the two routes
-is a real check.
+Everything here works in the full 2^N tensor-product space or with dense
+(N+1)x(N+1) spin matrices, and imports nothing from the package, so
+agreement between the two routes is a real check.
 """
 
 import math
@@ -16,6 +16,19 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 SP = (SX + 1j * SY) / 2.0
 SM = (SX - 1j * SY) / 2.0
 ID2 = np.eye(2, dtype=complex)
+
+
+def spin_matrices(j: float) -> dict:
+    """Dense J_x, J_y, J_z, J_+ and J_- of one spin of size j, in the basis
+    order m = +j down to -j, from <j,m+1| J_+ |j,m> = sqrt(j(j+1) - m(m+1))."""
+    dim = int(round(2 * j)) + 1
+    if j <= 0 or abs(2 * j - (dim - 1)) > 1e-9:
+        raise ValueError(f"spin size j={j!r} must be a positive integer or half-integer")
+    m = j - np.arange(dim)
+    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    jm = jp.conj().T
+    jz = np.diag(m).astype(complex)
+    return {"jx": (jp + jm) / 2.0, "jy": (jp - jm) / 2.0j, "jz": jz, "jp": jp, "jm": jm}
 
 
 def site_op(op: np.ndarray, i: int, n: int) -> np.ndarray:
@@ -152,8 +165,6 @@ def dense_triad_margins(state, frame):
     """
     import itertools
 
-    from spinsqueeze.states import spin_matrices
-
     n = state.n_particles
     mats = spin_matrices(n / 2.0)
     c = state.amplitudes
@@ -209,8 +220,6 @@ def dense_triad_margins(state, frame):
 def dense_two_qubit_margin(state, directions) -> float:
     """Smallest 1 - 4<J_n>^2/N^2 - 4 (Delta J_n)^2/N over ``directions``,
     from dense spin matrices."""
-    from spinsqueeze.states import spin_matrices
-
     n = state.n_particles
     mats = spin_matrices(n / 2.0)
     c = state.amplitudes

@@ -33,6 +33,7 @@ from oracles import (
     full_mean_corr,
     local_from_rdm2,
     rdm2_standard,
+    spin_matrices,
 )
 
 
@@ -94,12 +95,12 @@ def test_criterion_02_oat_closed_forms():
     with Criterion(2, "twisting closed forms vs unitary numerics", 5.0):
         from scipy.linalg import eigh_tridiagonal
 
-        from spinsqueeze.states import _ladder_plus_coeff, m_values
+        from spinsqueeze.states import _moment_tables
 
         thetas = np.linspace(0.02, 2.0 * math.pi - 0.02, 50)
         for n in range(2, 201):
-            f = _ladder_plus_coeff(n / 2.0, m_values(n))
-            w, v = eigh_tridiagonal(np.zeros(n + 1), f[1:] / 2.0)
+            f = _moment_tables(n)[2]  # <k|J_+|k+1>
+            w, v = eigh_tridiagonal(np.zeros(n + 1), f / 2.0)
             c0 = np.zeros(n + 1)
             c0[-1] = 1.0  # |j, -j>
             vc0 = v.T @ c0
@@ -235,8 +236,6 @@ def test_criterion_06_metrology_numbers():
         assert abs(rep.xi_R2 - 2.0 / (j + 1.0)) < 1e-9
         res = ramsey_sensitivity(ghz_y(n), math.pi / 2.0 / n, "parity")
         assert abs(res.phase_variance - 1.0 / n**2) < 1e-9
-
-        from spinsqueeze.states import spin_matrices
 
         mats = spin_matrices(4.0)
         n8 = 8

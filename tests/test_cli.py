@@ -448,6 +448,27 @@ def test_bad_count_is_usage_error(tmp_path, capsys, argv, config, name):
     assert name in err
 
 
+_QND = ["qnd", "--n", "100", "--photons", "1000", "--chi"]
+_KICKED = ["kicked-top", "--spin-j", "5", "--theta0", "1.0", "--phi0", "0.0", "--kicks", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(_QND + ["nan"], "chi", id="qnd-chi-nan"),
+        pytest.param(_QND + ["inf"], "chi", id="qnd-chi-inf"),
+        pytest.param(_QND + ["1e160"], "chi", id="qnd-chi-1e160"),
+        pytest.param(_KICKED + ["--kappa", "nan"], "kappa", id="kicked-top-kappa-nan"),
+        pytest.param(["oat", "--n", "10", "--theta", "nan"], "theta", id="oat-theta-nan"),
+    ],
+)
+def test_non_finite_parameter_is_numeric_error(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and name in err
+
+
 _HUSIMI = ["husimi", "--n", "8"]
 
 

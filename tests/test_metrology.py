@@ -8,7 +8,6 @@ from scipy.linalg import expm
 import spinsqueeze as sq
 from spinsqueeze import metrology
 from spinsqueeze.cli import SweepConfig, sweep
-from spinsqueeze.states import spin_matrices
 from spinsqueeze.metrics import compute_report, mean_spin_direction, min_transverse_variance, transverse_frame
 from spinsqueeze.metrology import (
     chi_criterion,
@@ -18,6 +17,8 @@ from spinsqueeze.metrology import (
     ramsey_signal,
     sss_andre,
 )
+
+from oracles import spin_matrices
 
 
 def random_state(n, seed):
@@ -81,6 +82,23 @@ class TestQfi:
     def test_invalid_density_matrix_rejected(self):
         with pytest.raises(ValueError):
             qfi_rotation(np.eye(5) * 0.5, jmat(4, [0, 0, 1.0]))
+
+    def test_density_matrix_needs_one_eigendecomposition(self, monkeypatch):
+        st = random_state(6, 4)
+        rho = 0.7 * np.outer(st.amplitudes, st.amplitudes.conj()) + 0.3 * np.eye(7) / 7.0
+        gen = jmat(6, [0.0, 1.0, 0.0])
+        want = qfi_rotation(rho, gen)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert qfi_rotation(rho, gen) == want
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("func", [qfi_rotation, chi_criterion])
     @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "rho"])
@@ -271,6 +289,22 @@ class TestReadout:
             jy = mats["jy"] @ psi
             dense = 4.0 * (np.vdot(jy, jy).real - np.vdot(psi, jy).real ** 2)
             assert abs(ramsey_sensitivity(st, 0.4, "parity").qfi - dense) < 1e-12 * n**2
+
+    def test_jz_sensitivity_reads_moments_once(self, monkeypatch):
+        st = random_state(20, 720)
+        _, variance, slope = metrology._readout(st, 0.4, "jz")
+        qfi = 4.0 * float(sq.moments(st).cov[1, 1])
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return sq.moments(state)
+
+        monkeypatch.setattr(metrology, "moments", counting)
+        res = ramsey_sensitivity(st, 0.4, "jz")
+        assert len(calls) == 1
+        assert res.phase_variance == variance / slope**2
+        assert res.qfi == qfi
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_non_finite_phi_rejected(self, phi):

@@ -18,6 +18,8 @@ from spinsqueeze.models import (
     qnd_monte_carlo,
 )
 
+from oracles import spin_matrices
+
 
 class TestLmgGround:
     def test_isotropic_polarized_phase(self):
@@ -77,7 +79,7 @@ class TestLmgGround:
 
 def _dense_lmg_reference(n, h, gamma):
     """Dense real H and the lowest eigenpair of each parity block, by energy."""
-    mats = sq.spin_matrices(n / 2.0)
+    mats = spin_matrices(n / 2.0)
     jx, jy, jz = mats["jx"], mats["jy"], mats["jz"]
     ham = (-(jx @ jx + gamma * (jy @ jy)) / n - h * jz).real
     blocks = []
@@ -219,8 +221,6 @@ class TestExtremeSqueezing:
         j = 3
         pts = extreme_squeezing_curve(j, [0.0])
         _, f = pts[0]
-        from spinsqueeze.states import spin_matrices
-
         mats = spin_matrices(float(j))
         evals = np.linalg.eigvalsh(mats["jx"] @ mats["jx"])
         assert f >= evals[0] / j - 1e-12
@@ -242,8 +242,6 @@ class TestExtremeSqueezing:
         pts = sorted(extreme_squeezing_curve(j, mu))
         xs = np.array([p[0] for p in pts])
         fs = np.array([p[1] for p in pts])
-        from spinsqueeze.states import spin_matrices
-
         mats = spin_matrices(float(j))
         jx, jz = mats["jx"], mats["jz"]
         jx2 = jx @ jx

@@ -14,6 +14,7 @@ from oracles import (
     husimi_per_point,
     local_from_rdm2,
     rdm2_standard,
+    spin_matrices,
 )
 
 XHAT = np.array([1.0, 0.0, 0.0])
@@ -28,47 +29,49 @@ def random_state(n, seed):
 
 
 class TestOperators:
+    """The dense reference spin matrices, and the package's ladder table
+    against them."""
+
     def test_single_spin_jz(self):
-        ops = sq.build_operators(1)
-        assert np.allclose(ops.jz.matrix, np.diag([0.5, -0.5]))
+        assert np.allclose(spin_matrices(0.5)["jz"], np.diag([0.5, -0.5]))
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
-            sq.build_operators(0)
+            spin_matrices(0.0)
+        with pytest.raises(ValueError):
+            m_values(0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_commutation_relations(self, n):
-        ops = sq.build_operators(n)
-        triples = [(ops.jx, ops.jy, ops.jz), (ops.jy, ops.jz, ops.jx), (ops.jz, ops.jx, ops.jy)]
-        for a, b, c in triples:
-            comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-            assert np.max(np.abs(comm - 1j * c.matrix)) < 1e-12
+        mats = spin_matrices(n / 2.0)
+        jx, jy, jz = mats["jx"], mats["jy"], mats["jz"]
+        for a, b, c in [(jx, jy, jz), (jy, jz, jx), (jz, jx, jy)]:
+            comm = a @ b - b @ a
+            assert np.max(np.abs(comm - 1j * c)) < 1e-12
 
     def test_ladder_element_n2(self):
         # <j=1, m=0| J_+ |1, -1> = sqrt(2), cross-checked by explicit product
-        ops = sq.build_operators(2)
-        jp = ops.jplus.matrix
+        mats = spin_matrices(1.0)
+        jp = mats["jp"]
         assert abs(jp[1, 2] - math.sqrt(2.0)) < 1e-14
         # J_+ = J_x + i J_y elementwise
-        assert np.max(np.abs(jp - (ops.jx.matrix + 1j * ops.jy.matrix))) < 1e-14
+        assert np.max(np.abs(jp - (mats["jx"] + 1j * mats["jy"]))) < 1e-14
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_ladder_formula(self, n):
-        ops = sq.build_operators(n)
+        jp = spin_matrices(n / 2.0)["jp"]
         j = n / 2.0
         m = m_values(n)
         for i in range(1, n + 1):
             want = math.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
-            assert abs(ops.jplus.matrix[i - 1, i] - want) < 1e-12
-
-    def test_parity_diagonal(self):
-        ops = sq.build_operators(4)
-        assert np.allclose(np.diag(ops.parity.matrix).real, [1, -1, 1, -1, 1])
+            assert abs(jp[i - 1, i] - want) < 1e-12
+        assert np.max(np.abs(states._moment_tables(n)[2] - np.diag(jp, 1))) < 1e-12
 
     def test_j_squared_is_casimir(self):
-        ops = sq.build_operators(6)
+        mats = spin_matrices(3.0)
+        j2 = sum(mats[a] @ mats[a] for a in ("jx", "jy", "jz"))
         j = 3.0
-        assert np.max(np.abs(ops.j_squared.matrix - j * (j + 1) * np.eye(7))) < 1e-12
+        assert np.max(np.abs(j2 - j * (j + 1) * np.eye(7))) < 1e-12
 
 
 class TestCss:
@@ -114,8 +117,8 @@ class TestCss:
 class TestDicke:
     def test_jz_eigenstate(self):
         st = sq.dicke(2, 1.0)
-        ops = sq.build_operators(2)
-        assert np.max(np.abs(ops.jz.matrix @ st.amplitudes - 1.0 * st.amplitudes)) < 1e-14
+        jz = spin_matrices(1.0)["jz"]
+        assert np.max(np.abs(jz @ st.amplitudes - 1.0 * st.amplitudes)) < 1e-14
 
     def test_poles_are_coherent(self):
         for m in (2.0, -2.0):
@@ -163,8 +166,8 @@ class TestRotate:
         st = random_state(6, 3)
         axis = np.array([0.3, -0.5, 0.81])
         axis /= np.linalg.norm(axis)
-        ops = sq.build_operators(6)
-        gen = axis[0] * ops.jx.matrix + axis[1] * ops.jy.matrix + axis[2] * ops.jz.matrix
+        ops = spin_matrices(3.0)
+        gen = axis[0] * ops["jx"] + axis[1] * ops["jy"] + axis[2] * ops["jz"]
         w, v = np.linalg.eigh(gen)
         u = v @ np.diag(np.exp(-1j * 0.77 * w)) @ v.conj().T
         got = sq.rotate(st, axis, 0.77)
@@ -178,9 +181,9 @@ class TestRotate:
         axes = [YHAT, -YHAT, XHAT, tilted / np.linalg.norm(tilted)]
         for n in (6, 13, 6, 40, 13, 6):
             st = random_state(n, 3 + n)
-            ops = sq.build_operators(n)
+            ops = spin_matrices(n / 2.0)
             for axis in axes:
-                gen = axis[0] * ops.jx.matrix + axis[1] * ops.jy.matrix + axis[2] * ops.jz.matrix
+                gen = axis[0] * ops["jx"] + axis[1] * ops["jy"] + axis[2] * ops["jz"]
                 for angle in (0.77, -2.4):
                     got = sq.rotate(st, axis, angle)
                     want = expm(-1j * angle * gen) @ st.amplitudes
@@ -240,7 +243,7 @@ class TestMoments:
         # interleave N so cached and freshly built moment tables alternate
         for size in (n, 5, n):
             st = random_state(size, 300 + size)
-            ops = sq.spin_matrices(size / 2.0)
+            ops = spin_matrices(size / 2.0)
             c = st.amplitudes
             vecs = [ops[a] @ c for a in ("jx", "jy", "jz")]
             mean = np.array([np.vdot(c, v).real for v in vecs])

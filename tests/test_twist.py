@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import spinsqueeze as sq
 from spinsqueeze import states, twist
-from spinsqueeze.states import dicke, local_moments, moments, spin_matrices
+from spinsqueeze.states import dicke, local_moments, moments
 from spinsqueeze.metrics import compute_report, parity_shortcuts
 from spinsqueeze.twist import (
     OAT_TRANSVERSE,
@@ -24,7 +24,7 @@ from spinsqueeze.twist import (
     tat_minimum,
 )
 
-from oracles import collective_ops, dicke_to_full, local_from_rdm2, rdm2_standard
+from oracles import collective_ops, dicke_to_full, local_from_rdm2, rdm2_standard, spin_matrices
 
 
 class TestOatClosedForm:
@@ -278,6 +278,12 @@ class TestKickedTop:
     def test_spec_must_match_state(self):
         with pytest.raises(ValueError):
             kicked_top_trajectory(sq.css(10, 2.25, 0.5), self.spec, 3)
+
+    @pytest.mark.parametrize("field", ["kappa", "p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            KickedTopSpec(**{"kappa": 3.0, "j": 25.0, field: value})
 
     def test_reports_and_means_align(self):
         res = self.traj(0.63, 5)
