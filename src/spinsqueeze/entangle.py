@@ -29,9 +29,10 @@ from .states import (
     _apply_jp,
     _density_eigh,
     _moment_tables,
+    local_from_moments,
     moments,
 )
-from .metrics import mean_spin_direction, min_transverse_variance, transverse_frame
+from .metrics import _squeezing_frame
 
 __all__ = [
     "TwoQubitRDM",
@@ -84,33 +85,28 @@ class TwoQubitRDM:
         return block[np.ix_(perm, perm)]
 
 
-def rdm_from_collective(mset: MomentSet, positivity_tol: float = 1e-9) -> TwoQubitRDM:
+def rdm_from_collective(mset: MomentSet) -> TwoQubitRDM:
     """Two-qubit reduced density matrix from collective moments.
 
-    Valid for parity + exchange-symmetric states (caller-asserted). A
-    positivity violation beyond ``positivity_tol`` signals a non-physical
-    moment set and raises.
+    Valid for parity + exchange-symmetric states (caller-asserted). The
+    elements follow from the pair moments of ``local_from_moments``:
+    v+- = (1 +- 2 s_z + s_zz)/4, w = (1 - s_zz)/4, y = s_+-, u = conj(s_--).
+    A positivity violation beyond 1e-9 signals a non-physical moment set
+    and raises.
     """
-    n = mset.n_particles
-    if n < 2:
-        raise ValueError("no pair exists for N = 1")
-    nn1 = n * (n - 1)
-    jz = mset.mean[2]
-    jz2 = mset.corr[2, 2]
-    jperp2 = mset.corr[0, 0] + mset.corr[1, 1]
-    jp2 = (mset.corr[0, 0] - mset.corr[1, 1]) + 2.0j * mset.corr[0, 1]
-    v_plus = (n * n - 2 * n + 4 * jz2 + 4 * jz * (n - 1)) / (4.0 * nn1)
-    v_minus = (n * n - 2 * n + 4 * jz2 - 4 * jz * (n - 1)) / (4.0 * nn1)
-    w = (n * n - 4 * jz2) / (4.0 * nn1)
-    y = (4.0 * jperp2 - 2.0 * n) / (4.0 * nn1)
-    u = jp2 / nn1
+    lm = local_from_moments(mset)
+    v_plus = (1.0 + 2.0 * lm.sz + lm.szsz) / 4.0
+    v_minus = (1.0 - 2.0 * lm.sz + lm.szsz) / 4.0
+    w = (1.0 - lm.szsz) / 4.0
+    y = lm.spsm
+    u = lm.smsm.conjugate()
     viol = max(
         -(min(v_plus, v_minus, w)),
         abs(u) - math.sqrt(max(v_plus, 0.0) * max(v_minus, 0.0)),
         abs(y) - w,
         abs(v_plus + v_minus + 2 * w - 1.0),
     )
-    if viol > positivity_tol:
+    if viol > 1e-9:
         raise ValueError(f"moment set maps to a non-positive pair state (violation {viol:.3e})")
     # snap numerical dust so the dataclass invariants hold exactly
     v_plus, v_minus, w = max(v_plus, 0.0), max(v_minus, 0.0), max(w, 0.0)
@@ -245,31 +241,28 @@ class CriteriaReport:
         return to_json_text(self.to_dict())
 
 
-def _candidate_frames(mset: MomentSet):
-    """MSD-aligned frame plus the coordinate axes, as orthonormal triads."""
+def _candidate_frames(frame) -> list:
+    """MSD-aligned triad of the squeezing ``frame`` (None when the MSD is
+    undefined) plus the coordinate axes, as orthonormal triads."""
     frames = [np.eye(3)]
-    theta, phi, ok = mean_spin_direction(mset)
-    if ok:
-        lam_minus, angle = min_transverse_variance(mset)
-        n0, n1, n2 = transverse_frame(theta, phi)
-        nmin = math.cos(angle) * n1 + math.sin(angle) * n2
-        nperp = -math.sin(angle) * n1 + math.cos(angle) * n2
-        frames.append(np.array([nmin, nperp, n0]))
+    if frame is not None:
+        c, s = math.cos(frame.angle), math.sin(frame.angle)
+        nmin = c * frame.n1 + s * frame.n2
+        nperp = -s * frame.n1 + c * frame.n2
+        frames.append(np.array([nmin, nperp, frame.n0]))
     return frames
 
 
-def _spin_j_criterion(mset: MomentSet) -> tuple[float, bool]:
+def _spin_j_criterion(mset: MomentSet, frame) -> tuple[float, bool]:
     """(margin, violated) of the spin-j variance bound with the spin-1/2
     floor F_{1/2}(x) = x^2/2: minimal transverse variance >= <J>^2 / N for
-    separable states.
+    separable states; ``frame`` is the squeezing frame of ``mset``.
 
     The margin is a difference of second moments of size up to N^2/4, and
     its rounding grows with them, so the guard is scaled by the largest.
     """
-    _, _, ok = mean_spin_direction(mset)
-    if ok:
-        lam_minus, _ = min_transverse_variance(mset)
-        margin = lam_minus - mset.mean_length**2 / mset.n_particles
+    if frame is not None:
+        margin = frame.lam_minus - mset.mean_length**2 / mset.n_particles
     else:
         margin = float(np.linalg.eigvalsh(mset.cov)[0])
     tol = _VIOLATION_TOL * max(1.0, float(np.max(np.abs(mset.corr))))
@@ -336,7 +329,8 @@ def evaluate_criteria(
     """
     n = state.n_particles
     mset = moments(state)
-    frames = _candidate_frames(mset)
+    frame = _squeezing_frame(mset)
+    frames = _candidate_frames(frame)
     directions = [row for f in frames for row in f]
 
     # two-qubit inequality, symmetric-state form:
@@ -356,7 +350,7 @@ def evaluate_criteria(
 
     singlet_xi2 = float(np.trace(mset.cov)) / (n / 2.0)
 
-    fj_margin, fj_violated = _spin_j_criterion(mset)
+    fj_margin, fj_violated = _spin_j_criterion(mset, frame)
 
     if aux is None:
         tm_margin = None

@@ -79,17 +79,26 @@ def _variance(mset: MomentSet, n: np.ndarray) -> float:
     return float(n @ mset.cov @ n)
 
 
-def min_transverse_variance(mset: MomentSet):
-    """Smallest variance in the plane normal to the mean-spin direction.
+class _Frame(NamedTuple):
+    """The squeezing frame: MSD angles, the transverse frame (n0 along the
+    MSD), and the smallest transverse variance with the angle of its
+    direction n1*cos + n2*sin."""
 
-    Returns (lambda_minus, opt_angle) where opt_angle is the angle of the
-    minimizing direction n1*cos + n2*sin in the transverse frame. Raises if
-    the mean-spin direction is undefined.
-    """
+    theta: float
+    phi: float
+    n0: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    lam_minus: float
+    angle: float
+
+
+def _squeezing_frame(mset: MomentSet) -> Optional[_Frame]:
+    """The squeezing frame, or None when the mean-spin direction is undefined."""
     theta, phi, ok = mean_spin_direction(mset)
     if not ok:
-        raise ValueError("mean-spin direction undefined; transverse plane is ambiguous")
-    _, n1, n2 = transverse_frame(theta, phi)
+        return None
+    n0, n1, n2 = transverse_frame(theta, phi)
     v11 = _variance(mset, n1)
     v22 = _variance(mset, n2)
     v12 = float(n1 @ mset.cov @ n2)
@@ -98,11 +107,24 @@ def min_transverse_variance(mset: MomentSet):
     hyp = math.hypot(a, b)
     lam_minus = 0.5 * (v11 + v22 - hyp)
     if hyp <= 1e-14 * max(1.0, v11 + v22):
-        return lam_minus, 0.0
-    ratio = min(1.0, max(-1.0, -a / hyp))
-    half = 0.5 * math.acos(ratio)
-    angle = half if b <= 0 else math.pi - half
-    return lam_minus, angle
+        angle = 0.0
+    else:
+        half = 0.5 * math.acos(min(1.0, max(-1.0, -a / hyp)))
+        angle = half if b <= 0 else math.pi - half
+    return _Frame(theta, phi, n0, n1, n2, lam_minus, angle)
+
+
+def min_transverse_variance(mset: MomentSet):
+    """Smallest variance in the plane normal to the mean-spin direction.
+
+    Returns (lambda_minus, opt_angle) where opt_angle is the angle of the
+    minimizing direction n1*cos + n2*sin in the transverse frame. Raises if
+    the mean-spin direction is undefined.
+    """
+    frame = _squeezing_frame(mset)
+    if frame is None:
+        raise ValueError("mean-spin direction undefined; transverse plane is ambiguous")
+    return frame.lam_minus, frame.angle
 
 
 REPORT_FIELDS = (
@@ -125,6 +147,13 @@ REPORT_FIELDS = (
     "lambda_min_degenerate",
     "mean_spin_length",
     "msd_defined",
+)
+
+
+# the fields that need the MSD, None when it is undefined
+_MSD_FIELDS = (
+    "xi_H2", "xi_Hprime2", "xi_Hdoubleprime2", "xi_S2", "xi_R2", "xi_Rprime2", "xi_D2",
+    "xi_E2", "tilde_xi_Rprime2", "msd_theta", "msd_phi", "opt_angle",
 )
 
 
@@ -178,7 +207,7 @@ def compute_report(mset: MomentSet) -> SqueezingReport:
     """Evaluate every squeezing parameter for one moment set."""
     n = mset.n_particles
     length = mset.mean_length
-    theta, phi, ok = mean_spin_direction(mset)
+    frame = _squeezing_frame(mset)
 
     lam = np.linalg.eigvalsh(mset.gamma_big)
     lam_min = float(lam[0])
@@ -190,64 +219,35 @@ def compute_report(mset: MomentSet) -> SqueezingReport:
     tilde_e = lam_min / denom_e
     singlet = float(np.trace(mset.cov)) / (n / 2.0)
 
-    if not ok:
-        return SqueezingReport(
-            xi_H2=None,
-            xi_Hprime2=None,
-            xi_Hdoubleprime2=None,
-            xi_S2=None,
-            xi_R2=None,
-            xi_Rprime2=None,
-            xi_D2=None,
-            xi_E2=None,
-            tilde_xi_Rprime2=None,
-            tilde_xi_D2=tilde_d,
-            tilde_xi_E2=tilde_e,
-            xi_singlet2=singlet,
-            msd_theta=None,
-            msd_phi=None,
-            opt_angle=None,
-            lambda_min=lam_min,
-            lambda_min_degenerate=degenerate,
-            mean_spin_length=length,
-            msd_defined=False,
+    if frame is None:
+        msd = dict.fromkeys(_MSD_FIELDS)
+    else:
+        lam_minus = frame.lam_minus
+        n_min = math.cos(frame.angle) * frame.n1 + math.sin(frame.angle) * frame.n2
+        mean_along_min = float(mset.mean @ n_min)
+        msd = dict(
+            xi_H2=2.0 * lam_minus / length,  # canonical n2 = MSD
+            xi_Hprime2=2.0 * lam_minus / length,  # third-axis mean vanishes on the frame
+            xi_Hdoubleprime2=2.0 * lam_minus / length,
+            xi_S2=4.0 * lam_minus / n,
+            xi_R2=n * lam_minus / length**2,
+            xi_Rprime2=n * lam_minus / length**2,
+            xi_D2=n * lam_minus / (n**2 / 4.0 - mean_along_min**2),
+            xi_E2=n * lam_minus / (mset.j_squared - n / 2.0 - mean_along_min**2),
+            tilde_xi_Rprime2=lam_min / length**2,
+            msd_theta=frame.theta,
+            msd_phi=frame.phi,
+            opt_angle=frame.angle,
         )
-
-    lam_minus, opt_angle = min_transverse_variance(mset)
-    _, n1, n2 = transverse_frame(theta, phi)
-    n_min = math.cos(opt_angle) * n1 + math.sin(opt_angle) * n2
-    mean_along_min = float(mset.mean @ n_min)
-
-    xi_s2 = 4.0 * lam_minus / n
-    xi_r2 = n * lam_minus / length**2
-    xi_hpp2 = 2.0 * lam_minus / length
-    xi_h2 = 2.0 * lam_minus / length  # canonical n2 = MSD
-    xi_hp2 = 2.0 * lam_minus / length  # third-axis mean vanishes on the frame
-    xi_rp2 = n * lam_minus / length**2
-    xi_d2 = n * lam_minus / (n**2 / 4.0 - mean_along_min**2)
-    xi_e2 = n * lam_minus / (mset.j_squared - n / 2.0 - mean_along_min**2)
-    tilde_rp2 = lam_min / length**2
-
     return SqueezingReport(
-        xi_H2=xi_h2,
-        xi_Hprime2=xi_hp2,
-        xi_Hdoubleprime2=xi_hpp2,
-        xi_S2=xi_s2,
-        xi_R2=xi_r2,
-        xi_Rprime2=xi_rp2,
-        xi_D2=xi_d2,
-        xi_E2=xi_e2,
-        tilde_xi_Rprime2=tilde_rp2,
+        **msd,
         tilde_xi_D2=tilde_d,
         tilde_xi_E2=tilde_e,
         xi_singlet2=singlet,
-        msd_theta=theta,
-        msd_phi=phi,
-        opt_angle=opt_angle,
         lambda_min=lam_min,
         lambda_min_degenerate=degenerate,
         mean_spin_length=length,
-        msd_defined=True,
+        msd_defined=frame is not None,
     )
 
 

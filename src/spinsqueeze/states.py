@@ -20,7 +20,7 @@ import json
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -366,53 +366,50 @@ def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
     return SymmetricState(n, _propagate(c, gauge, [(0, 1, w, v)], angle))
 
 
+def _scale(a: list) -> float:
+    """max(1, max |a_kl|) of a 3x3 matrix given as nested lists; on Python
+    floats because numpy's per-call cost dominates at 3x3."""
+    return max(1.0, *map(abs, a[0] + a[1] + a[2]))
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """First and symmetrized second moments of the collective spin.
 
-    ``corr`` holds C_kl = <J_l J_k + J_k J_l>/2, ``cov`` the covariance
-    gamma_kl = C_kl - <J_k><J_l>, and ``gamma_big`` the combination
-    (N-1) gamma + C whose smallest eigenvalue drives the rotation-invariant
-    squeezing parameters.
+    The record stores the mean spin ``mean`` = <J> and ``corr``
+    C_kl = <J_l J_k + J_k J_l>/2. The rest is derived from these once, at
+    construction: the covariance ``cov`` gamma_kl = C_kl - <J_k><J_l>,
+    ``gamma_big`` = (N-1) gamma + C, whose smallest eigenvalue drives the
+    rotation-invariant squeezing parameters, and ``j_squared`` = <J^2> = tr C.
     """
 
     n_particles: int
     mean: np.ndarray
     corr: np.ndarray
-    cov: np.ndarray
-    gamma_big: np.ndarray
-    j_squared: float
+    cov: np.ndarray = field(init=False)
+    gamma_big: np.ndarray = field(init=False)
+    j_squared: float = field(init=False)
 
     def __post_init__(self):
-        _check_n(self.n_particles)
-        for name in ("mean", "corr", "cov", "gamma_big"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.mean.shape != (3,) or not (
-            self.corr.shape == self.cov.shape == self.gamma_big.shape == (3, 3)
-        ):
-            raise ValueError("mean must be a 3-vector and corr, cov, gamma_big 3x3 matrices")
-        # elementwise on Python floats: numpy's per-call cost dominates at 3x3
-        scales = {}
-        for name in ("corr", "cov", "gamma_big"):
-            a = getattr(self, name).tolist()
-            scales[name] = max(1.0, *map(abs, a[0] + a[1] + a[2]))
-            asym = max(abs(a[0][1] - a[1][0]), abs(a[0][2] - a[2][0]), abs(a[1][2] - a[2][1]))
-            if asym > 1e-10 * scales[name]:
-                raise ValueError(f"{name} matrix is not symmetric")
-        lo = np.linalg.eigvalsh(self.cov)[0]
-        if lo < -1e-10 * scales["cov"]:
-            raise ValueError(f"covariance matrix has negative eigenvalue {lo!r}")
-
-    @classmethod
-    def from_mean_corr(cls, n_particles: int, mean, corr) -> "MomentSet":
-        mean = np.asarray(mean, dtype=float)
-        corr = np.asarray(corr, dtype=float)
+        n = _check_n(self.n_particles)
+        mean = np.array(self.mean, dtype=float)
+        corr = np.asarray(self.corr, dtype=float)
+        if mean.shape != (3,) or corr.shape != (3, 3):
+            raise ValueError("mean must be a 3-vector and corr a 3x3 matrix")
+        a = corr.tolist()
+        asym = max(abs(a[0][1] - a[1][0]), abs(a[0][2] - a[2][0]), abs(a[1][2] - a[2][1]))
+        if asym > 1e-10 * _scale(a):
+            raise ValueError("corr matrix is not symmetric")
         corr = (corr + corr.T) / 2.0
         cov = corr - mean[:, None] * mean
-        gamma_big = (n_particles - 1) * cov + corr
-        return cls(n_particles, mean, corr, cov, gamma_big, float(corr.trace()))
+        gamma_big = (n - 1) * cov + corr
+        for name, arr in (("mean", mean), ("corr", corr), ("cov", cov), ("gamma_big", gamma_big)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "j_squared", float(corr.trace()))
+        lo = np.linalg.eigvalsh(cov)[0]
+        if lo < -1e-10 * _scale(cov.tolist()):
+            raise ValueError(f"covariance matrix has negative eigenvalue {lo!r}")
 
     @property
     def mean_length(self) -> float:
@@ -438,15 +435,13 @@ def moments(state: SymmetricState) -> MomentSet:
     jp2 = complex((np.conj(c[:-2]) * c[2:]) @ f2)
     j_squared = n / 2.0 * (n / 2.0 + 1.0) * float(prob.sum())
     perp = (j_squared - jz2) / 2.0
-    mean = np.array([jp.real, jp.imag, jz])
-    corr = np.array(
-        [
-            [perp + jp2.real / 2.0, jp2.imag / 2.0, jpz.real],
-            [jp2.imag / 2.0, perp - jp2.real / 2.0, jpz.imag],
-            [jpz.real, jpz.imag, jz2],
-        ]
-    )
-    return MomentSet.from_mean_corr(n, mean, corr)
+    mean = [jp.real, jp.imag, jz]
+    corr = [
+        [perp + jp2.real / 2.0, jp2.imag / 2.0, jpz.real],
+        [jp2.imag / 2.0, perp - jp2.real / 2.0, jpz.imag],
+        [jpz.real, jpz.imag, jz2],
+    ]
+    return MomentSet(n, mean, corr)
 
 
 @dataclass(frozen=True)
@@ -515,9 +510,7 @@ def collective_from_local(lm: LocalMoments) -> MomentSet:
     cxx = (jperp2 + jm2.real) / 2.0
     cyy = (jperp2 - jm2.real) / 2.0
     cxy = -jm2.imag / 2.0
-    mean = np.array([0.0, 0.0, jz])
-    corr = np.array([[cxx, cxy, 0.0], [cxy, cyy, 0.0], [0.0, 0.0, jz2]])
-    return MomentSet.from_mean_corr(n, mean, corr)
+    return MomentSet(n, [0.0, 0.0, jz], [[cxx, cxy, 0.0], [cxy, cyy, 0.0], [0.0, 0.0, jz2]])
 
 
 _HUSIMI_CHUNK = 1024  # grid points per contraction on a scattered grid

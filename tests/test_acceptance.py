@@ -263,7 +263,7 @@ def test_criterion_07_dephased_ramsey():
         assert res.t_opt == 1.0 / (2.0 * gamma)
         mean = np.array([0.0, 0.0, 50.0])
         corr = np.diag([1e-6 * 25.0, 25.0, 2500.0])
-        mset = MomentSet.from_mean_corr(100, mean, corr)
+        mset = MomentSet(100, mean, corr)
         res = sq.dephased_ramsey_optimum(mset, 1.0, 10.0)
         assert abs(res.improvement_p - (1.0 - math.exp(-0.5))) < 1e-3
         u = 2.0 * res.t_opt

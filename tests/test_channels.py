@@ -246,7 +246,7 @@ class TestParticleLoss:
         for n_r in (2, 4, 6):
             rho_r = reduced_rho(full, n, n_r)
             mean, corr = mixed_mean_corr(rho_r, n_r)
-            mset = MomentSet.from_mean_corr(n_r, mean, corr)
+            mset = MomentSet(n_r, mean, corr)
             # minimal transverse variance of the reduced mixed state
             from spinsqueeze.metrics import min_transverse_variance
 
@@ -306,7 +306,7 @@ class TestDephasedRamsey:
         last = None
         for xi_x2 in (1e-2, 1e-4, 1e-6):
             corr = np.diag([xi_x2 * n / 4.0, n / 4.0, (n / 2.0) ** 2])
-            mset = MomentSet.from_mean_corr(n, mean, corr)
+            mset = MomentSet(n, mean, corr)
             res = dephased_ramsey_optimum(mset, 1.0, 10.0)
             gap = abs(res.improvement_p - limit)
             if last is not None:

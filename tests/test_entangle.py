@@ -21,7 +21,7 @@ from spinsqueeze.entangle import (
     pairwise_correlation,
     rdm_from_collective,
 )
-from spinsqueeze.metrics import compute_report
+from spinsqueeze.metrics import _squeezing_frame, compute_report
 
 from oracles import (
     dense_triad_margins,
@@ -79,7 +79,7 @@ class TestRdmFromCollective:
         n = 4
         mean = np.array([0.0, 0.0, 1.9])
         corr = np.diag([0.05, 0.05, 4.0])  # transverse noise far below Heisenberg
-        mset = MomentSet.from_mean_corr(n, mean, corr)
+        mset = MomentSet(n, mean, corr)
         object.__setattr__(mset, "j_squared", n / 2.0 * (n / 2.0 + 1.0))
         with pytest.raises(ValueError):
             rdm_from_collective(mset)
@@ -199,7 +199,8 @@ class TestCriteria:
         rng = np.random.default_rng(n)
         for _ in range(200):
             st = sq.css(n, rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-            margin, violated = _spin_j_criterion(sq.moments(st))
+            mset = sq.moments(st)
+            margin, violated = _spin_j_criterion(mset, _squeezing_frame(mset))
             assert abs(margin) < 1e-13 * n * n
             assert not violated
             rep = evaluate_criteria(st).to_dict()
@@ -249,7 +250,7 @@ class TestThirdMoments:
         for seed, n in enumerate((2, 37, 3, 120, 7, 2, 37, 3, 120, 7)):
             st = random_state(n, 500 + seed)
             mset = sq.moments(st)
-            frames = _candidate_frames(mset)
+            frames = _candidate_frames(_squeezing_frame(mset))
             assert len(frames) == 2  # coordinate axes and the MSD frame
             scale = max(1.0, (n / 2.0) ** 3)
             tensor = _third_moments(st)

@@ -93,6 +93,35 @@ class TestMinTransverseVariance:
         assert abs(float(d @ m.cov @ d) - lam) < 1e-12
 
 
+def count_direction_calls(monkeypatch) -> list:
+    """Patch every module binding of mean_spin_direction with a counting
+    wrapper; the returned list grows by one entry per call."""
+    from spinsqueeze import entangle, metrics
+
+    calls = []
+    real = metrics.mean_spin_direction
+
+    def counted(mset):
+        calls.append(mset)
+        return real(mset)
+
+    for mod in (metrics, entangle):
+        monkeypatch.setattr(mod, "mean_spin_direction", counted, raising=False)
+    return calls
+
+
+class TestSqueezingFrameOnce:
+    def test_report_finds_direction_once(self, monkeypatch):
+        calls = count_direction_calls(monkeypatch)
+        rep = compute_report(sq.moments(sq.oat_state(12, 0.3)))
+        assert rep.msd_defined and len(calls) == 1
+
+    def test_criteria_find_direction_once(self, monkeypatch):
+        calls = count_direction_calls(monkeypatch)
+        sq.evaluate_criteria(sq.oat_state(12, 0.3))
+        assert len(calls) == 1
+
+
 class TestReportCss:
     def test_all_unit_parameters(self):
         rep = compute_report(sq.moments(sq.css(8, 1.0, 0.5)))
@@ -154,7 +183,7 @@ class TestReportDicke:
         # so build the criterion value from a synthetic moment set instead
         mean = np.zeros(3)
         corr = np.zeros((3, 3))
-        mset = MomentSet(2, mean, corr, corr, corr, 0.0)
+        mset = MomentSet(2, mean, corr)
         rep = compute_report(mset)
         assert abs(rep.xi_singlet2) < 1e-12
 

@@ -254,16 +254,33 @@ class TestMoments:
             assert np.max(np.abs(m.corr - corr)) < 1e-12 * scale
             assert abs(m.j_squared - np.trace(corr)) < 1e-12 * scale
 
+    def test_moment_set_derives_from_mean_and_corr(self):
+        import dataclasses
+
+        init = [f.name for f in dataclasses.fields(sq.MomentSet) if f.init]
+        assert init == ["n_particles", "mean", "corr"]
+        # interleave N so cached and freshly built moment tables alternate
+        for seed, n in enumerate((2, 37, 3, 120, 7)):
+            m = sq.moments(random_state(n, 700 + seed))
+            for rec in (m, sq.MomentSet(n, m.mean, m.corr)):
+                cov = rec.corr - np.outer(rec.mean, rec.mean)
+                assert np.array_equal(rec.cov, cov)
+                assert np.array_equal(rec.gamma_big, (n - 1) * cov + rec.corr)
+                assert rec.j_squared == np.trace(rec.corr)
+                assert not (rec.mean.flags.writeable or rec.corr.flags.writeable
+                            or rec.cov.flags.writeable or rec.gamma_big.flags.writeable)
+
     def test_moment_set_validation(self):
         good = sq.moments(random_state(5, 1))
-        bad_shape = good.cov[:2, :2]
+        bad_shape = good.corr[:2, :2]
         with pytest.raises(ValueError, match="3x3"):
-            sq.MomentSet(5, good.mean, good.corr, bad_shape, good.gamma_big, good.j_squared)
+            sq.MomentSet(5, good.mean, bad_shape)
         skew = good.corr + np.array([[0.0, 1e-3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="corr matrix is not symmetric"):
-            sq.MomentSet(5, good.mean, skew, good.cov, good.gamma_big, good.j_squared)
+            sq.MomentSet(5, good.mean, skew)
+        # covariance corr - mean mean^T = -I
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            sq.MomentSet(5, good.mean, good.corr, -np.eye(3), good.gamma_big, good.j_squared)
+            sq.MomentSet(5, good.mean, np.outer(good.mean, good.mean) - np.eye(3))
 
     def test_j_squared_fixed(self):
         for n in (2, 5, 12):
