@@ -295,6 +295,14 @@ def _check_finite(name: str, values) -> None:
         raise SweepConfigError(f"grid {name} must hold finite numbers, got {bad[0]!r}")
 
 
+def _check_finite_flags(*flags) -> None:
+    """Refuse a non-finite value of a float flag, given as (flag, value)
+    pairs; an absent flag (None) passes."""
+    for flag, value in flags:
+        if value is not None and not math.isfinite(value):
+            raise SweepConfigError(f"{flag} must be finite, got {value}")
+
+
 def parse_sweep_config(path: str) -> SweepConfig:
     """Plain key = value config; grid.<param> lines define the sweep axes."""
     if not os.path.exists(path):
@@ -455,6 +463,8 @@ def _cmd_tat(args) -> int:
 
 
 def _cmd_kicked_top(args) -> int:
+    _check_finite_flags(("--spin-j", args.spin_j), ("--theta0", args.theta0),
+                        ("--phi0", args.phi0))
     n = int(round(2 * args.spin_j))
     initial = states.css(n, args.theta0, args.phi0)
     spec = twist.KickedTopSpec(kappa=args.kappa, j=args.spin_j)
@@ -481,6 +491,7 @@ def _cmd_lmg(args) -> int:
 
 
 def _cmd_channel(args) -> int:
+    _check_finite_flags(("--theta0", args.theta0))
     ps = _parse_grid("--p", args.p)
     rows = [_eval_channel(args.channel, args.n, args.theta0, float(p)) for p in ps]
     cols = ["p", "xi_S2", "xi_R2", "tilde_xi_E2", "Cr"]
@@ -516,6 +527,7 @@ def _cmd_qnd(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    _check_finite_flags(("--theta", args.theta), ("--phi", args.phi), ("--m", args.m))
     if args.state == "css":
         psi = states.css(args.n, args.theta, args.phi)
     else:
@@ -543,10 +555,8 @@ def _grid_csv(thetas, phis, q) -> str:
 
 
 def _cmd_husimi(args) -> int:
-    for flag, value in (("--theta", args.theta), ("--phi", args.phi),
-                        ("--oat-chi-t", args.oat_chi_t)):
-        if value is not None and not math.isfinite(value):
-            raise SweepConfigError(f"{flag} must be finite, got {value}")
+    _check_finite_flags(("--theta", args.theta), ("--phi", args.phi),
+                        ("--oat-chi-t", args.oat_chi_t))
     for flag, count in (("--n-theta", args.n_theta), ("--n-phi", args.n_phi)):
         if count < 1:
             raise SweepConfigError(f"{flag} must be a positive integer, got {count}")

@@ -166,7 +166,8 @@ def dicke(n_particles: int, m: float) -> SymmetricState:
     n = _check_n(n_particles)
     j = n / 2.0
     idx = j - m
-    if abs(idx - round(idx)) > 1e-9 or not -j - 1e-9 <= m <= j + 1e-9:
+    # the range test comes first: it also refuses NaN and inf before round()
+    if not -j - 1e-9 <= m <= j + 1e-9 or abs(idx - round(idx)) > 1e-9:
         raise ValueError(f"m={m!r} is not in the ladder -j..j for j={j}")
     amps = np.zeros(n + 1, dtype=complex)
     amps[int(round(idx))] = 1.0

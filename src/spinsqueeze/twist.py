@@ -91,6 +91,11 @@ class KickedTopSpec:
             raise ValueError("spin size j must be a positive (half-)integer")
         if not math.isfinite(self.kappa):
             raise ValueError("kick strength kappa must be finite")
+        # the largest twist phase, kappa/(2j) m^2 at m = +-j
+        if not math.isfinite(self.kappa / (2.0 * self.j) * (self.j * self.j)):
+            raise ValueError(
+                f"kick strength kappa={self.kappa!r} overflows the twist phase kappa j/2"
+            )
         if not math.isfinite(self.p):
             raise ValueError("kick angle p must be finite")
 
@@ -214,7 +219,11 @@ def optimal_oat(n_particles: int) -> OptimalOAT:
     return OptimalOAT(theta_star, xi_star, delta)
 
 
-def tat_minimum(n_particles: int, coarse: int = 200) -> tuple[float, float]:
+# points of the coarse chi*t scan that brackets the two-axis twisting dip
+_TAT_COARSE = 200
+
+
+def tat_minimum(n_particles: int) -> tuple[float, float]:
     """Minimum of xi_S^2 over chi*t in (0, pi/2] for two-axis twisting.
 
     A coarse scan locates the dip and bounded scalar minimization polishes
@@ -229,7 +238,9 @@ def tat_minimum(n_particles: int, coarse: int = 200) -> tuple[float, float]:
     def xi_at(chi_t: float) -> float:
         return compute_report(moments(evolve(south, ham, chi_t))).xi_S2
 
-    return _scan_minimum(xi_at, np.linspace(math.pi / 2.0 / coarse, math.pi / 2.0, coarse))
+    return _scan_minimum(
+        xi_at, np.linspace(math.pi / 2.0 / _TAT_COARSE, math.pi / 2.0, _TAT_COARSE)
+    )
 
 
 class KickedTopResult(NamedTuple):

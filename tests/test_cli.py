@@ -398,6 +398,8 @@ class TestLmgCommand:
 
 
 _SWEEP_BASE = "op = oat\ngrid.n = 12\ngrid.theta = 0.1,0.2\n"
+_METRICS = ["metrics", "--state", "css", "--n", "8"]
+_KICKED_AT = ["kicked-top", "--kappa", "1", "--spin-j", "5", "--kicks", "3"]
 _RAMSEY = ["ramsey", "--n", "10", "--phi"]
 _CHANNEL = ["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p"]
 
@@ -435,6 +437,18 @@ _CHANNEL = ["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p"]
                      "grid.phi = 0.2,-inf\n", "grid phi", id="config-phi-list--inf"),
         pytest.param([], "op = oat\ngrid.n = 12\ngrid.theta = 0:nan:4\n", "grid theta",
                      id="config-theta-stop-nan"),
+        pytest.param(_METRICS + ["--theta", "nan"], None, "--theta", id="metrics-theta-nan"),
+        pytest.param(_METRICS + ["--phi", "nan"], None, "--phi", id="metrics-phi-nan"),
+        pytest.param(["metrics", "--state", "dicke", "--n", "8", "--m", "nan"], None, "--m",
+                     id="metrics-m-nan"),
+        pytest.param(["channel", "--channel", "pdc", "--n", "8", "--theta0", "nan", "--p", "0.1"],
+                     None, "--theta0", id="channel-theta0-nan"),
+        pytest.param(_KICKED_AT + ["--theta0", "nan", "--phi0", "0.0"], None, "--theta0",
+                     id="kicked-top-theta0-nan"),
+        pytest.param(_KICKED_AT + ["--theta0", "1.0", "--phi0", "inf"], None, "--phi0",
+                     id="kicked-top-phi0-inf"),
+        pytest.param(["kicked-top", "--kappa", "1", "--spin-j", "inf", "--theta0", "1.0",
+                      "--phi0", "0.0", "--kicks", "3"], None, "--spin-j", id="kicked-top-spin-j-inf"),
     ],
 )
 def test_bad_count_is_usage_error(tmp_path, capsys, argv, config, name):
@@ -459,6 +473,7 @@ _KICKED = ["kicked-top", "--spin-j", "5", "--theta0", "1.0", "--phi0", "0.0", "-
         pytest.param(_QND + ["inf"], "chi", id="qnd-chi-inf"),
         pytest.param(_QND + ["1e160"], "chi", id="qnd-chi-1e160"),
         pytest.param(_KICKED + ["--kappa", "nan"], "kappa", id="kicked-top-kappa-nan"),
+        pytest.param(_KICKED + ["--kappa", "1e308"], "kappa", id="kicked-top-kappa-1e308"),
         pytest.param(["oat", "--n", "10", "--theta", "nan"], "theta", id="oat-theta-nan"),
     ],
 )

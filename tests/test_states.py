@@ -137,6 +137,11 @@ class TestDicke:
         with pytest.raises(ValueError):
             sq.dicke(3, 1.0)  # half-integer ladder for odd N
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_non_finite_m_refused_by_name(self, m):
+        with pytest.raises(ValueError, match=r"m=.* is not in the ladder"):
+            sq.dicke(4, m)
+
 
 class TestRotate:
     def test_full_turn_integer_j(self):

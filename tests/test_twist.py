@@ -285,6 +285,13 @@ class TestKickedTop:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             KickedTopSpec(**{"kappa": 3.0, "j": 25.0, field: value})
 
+    @pytest.mark.parametrize("kappa", [1e308, -1e308, 2e307])
+    def test_overflowing_twist_phase_rejected(self, kappa):
+        # kappa j/2 overflows although kappa itself is finite
+        with pytest.raises(ValueError, match="kappa"):
+            KickedTopSpec(kappa=kappa, j=25.0)
+        KickedTopSpec(kappa=1e300, j=25.0)
+
     def test_reports_and_means_align(self):
         res = self.traj(0.63, 5)
         assert len(res.reports) == 5
