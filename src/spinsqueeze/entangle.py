@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ from .states import (
     _moment_tables,
     local_from_moments,
     moments,
+    to_json_text,
 )
 from .metrics import _squeezing_frame
 
@@ -218,26 +219,9 @@ class CriteriaReport:
     two_mode_margin: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "two_qubit_violated": self.two_qubit_violated,
-            "two_qubit_margin": self.two_qubit_margin,
-            "ghz3_violated": self.ghz3_violated,
-            "ghz3_margin": self.ghz3_margin,
-            "threeq_violated_a": self.threeq_violated_a,
-            "threeq_margin_a": self.threeq_margin_a,
-            "threeq_violated_b": self.threeq_violated_b,
-            "threeq_margin_b": self.threeq_margin_b,
-            "singlet_xi2": self.singlet_xi2,
-            "singlet_violated": self.singlet_violated,
-            "spin_j_Fj_violated": self.spin_j_Fj_violated,
-            "spin_j_Fj_margin": self.spin_j_Fj_margin,
-            "two_mode_violated": self.two_mode_violated,
-            "two_mode_margin": self.two_mode_margin,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        from .cli import to_json_text
-
         return to_json_text(self.to_dict())
 
 

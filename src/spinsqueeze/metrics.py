@@ -14,12 +14,12 @@ which can dip below 1 even for coherent states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .states import LocalMoments, MomentSet
+from .states import LocalMoments, MomentSet, _rows_to_csv, to_json_text
 
 __all__ = [
     "SqueezingReport",
@@ -127,61 +127,32 @@ def min_transverse_variance(mset: MomentSet):
     return frame.lam_minus, frame.angle
 
 
-REPORT_FIELDS = (
-    "xi_H2",
-    "xi_Hprime2",
-    "xi_Hdoubleprime2",
-    "xi_S2",
-    "xi_R2",
-    "xi_Rprime2",
-    "xi_D2",
-    "xi_E2",
-    "tilde_xi_Rprime2",
-    "tilde_xi_D2",
-    "tilde_xi_E2",
-    "xi_singlet2",
-    "msd_theta",
-    "msd_phi",
-    "opt_angle",
-    "lambda_min",
-    "lambda_min_degenerate",
-    "mean_spin_length",
-    "msd_defined",
-)
-
-
-# the fields that need the MSD, None when it is undefined
-_MSD_FIELDS = (
-    "xi_H2", "xi_Hprime2", "xi_Hdoubleprime2", "xi_S2", "xi_R2", "xi_Rprime2", "xi_D2",
-    "xi_E2", "tilde_xi_Rprime2", "msd_theta", "msd_phi", "opt_angle",
-)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SqueezingReport:
     """Every squeezing parameter of one state; absent values are None.
 
     Directional parameters are evaluated on the canonical frame: n1 is the
     variance-minimizing transverse direction and n2 the mean-spin direction.
-    Fields needing the MSD are None when ``msd_defined`` is False; the tilde
-    parameters, xi_singlet2 and lambda_min survive regardless.
+    Fields needing the MSD default to None, their value when ``msd_defined``
+    is False; the tilde parameters, xi_singlet2 and lambda_min survive
+    regardless.
     """
 
-    xi_H2: Optional[float]
-    xi_Hprime2: Optional[float]
-    xi_Hdoubleprime2: Optional[float]
-    xi_S2: Optional[float]
-    xi_R2: Optional[float]
-    xi_Rprime2: Optional[float]
-    xi_D2: Optional[float]
-    xi_E2: Optional[float]
-    tilde_xi_Rprime2: Optional[float]
+    xi_H2: Optional[float] = None
+    xi_Hprime2: Optional[float] = None
+    xi_Hdoubleprime2: Optional[float] = None
+    xi_S2: Optional[float] = None
+    xi_R2: Optional[float] = None
+    xi_Rprime2: Optional[float] = None
+    xi_D2: Optional[float] = None
+    xi_E2: Optional[float] = None
+    tilde_xi_Rprime2: Optional[float] = None
     tilde_xi_D2: float
     tilde_xi_E2: float
     xi_singlet2: float
-    msd_theta: Optional[float]
-    msd_phi: Optional[float]
-    opt_angle: Optional[float]
+    msd_theta: Optional[float] = None
+    msd_phi: Optional[float] = None
+    opt_angle: Optional[float] = None
     lambda_min: float
     lambda_min_degenerate: bool
     mean_spin_length: float
@@ -191,16 +162,13 @@ class SqueezingReport:
         return {name: getattr(self, name) for name in REPORT_FIELDS}
 
     def to_json(self) -> str:
-        from .cli import to_json_text
-
         return to_json_text(self.to_dict())
 
     def to_csv(self) -> str:
-        from .cli import csv_cell
+        return _rows_to_csv(REPORT_FIELDS, [self.to_dict()])
 
-        header = ",".join(REPORT_FIELDS)
-        row = ",".join(csv_cell(getattr(self, name)) for name in REPORT_FIELDS)
-        return f"{header}\n{row}\n"
+
+REPORT_FIELDS = tuple(f.name for f in fields(SqueezingReport))
 
 
 def compute_report(mset: MomentSet) -> SqueezingReport:
@@ -219,9 +187,8 @@ def compute_report(mset: MomentSet) -> SqueezingReport:
     tilde_e = lam_min / denom_e
     singlet = float(np.trace(mset.cov)) / (n / 2.0)
 
-    if frame is None:
-        msd = dict.fromkeys(_MSD_FIELDS)
-    else:
+    msd = {}  # without a frame the MSD fields keep their None default
+    if frame is not None:
         lam_minus = frame.lam_minus
         n_min = math.cos(frame.angle) * frame.n1 + math.sin(frame.angle) * frame.n2
         mean_along_min = float(mset.mean @ n_min)

@@ -14,7 +14,7 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -45,14 +45,7 @@ class EstimationResult:
     n_repeats: int
 
     def to_dict(self) -> dict:
-        return {
-            "phase_variance": self.phase_variance,
-            "omega_variance": self.omega_variance,
-            "readout": self.readout,
-            "qfi": self.qfi,
-            "chi2": self.chi2,
-            "n_repeats": self.n_repeats,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _dimension(state_or_rho: StateOrRho) -> int:

@@ -15,7 +15,6 @@ Conventions
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import threading
@@ -44,6 +43,9 @@ __all__ = [
     "state_from_json",
     "state_to_csv",
     "state_from_csv",
+    "fmt_float",
+    "csv_cell",
+    "to_json_text",
 ]
 
 _NORM_TOL = 1e-12
@@ -581,19 +583,63 @@ def gauss_sphere_grid(n_theta: int, n_phi: int):
 
 
 # ---------------------------------------------------------------------------
-# serialization (states are binary-free: JSON {n, re, im} or CSV m,re,im rows)
+# serialization: the package's one text encoder. Every table, report and
+# state is written through these functions; states are binary-free, JSON
+# {n, re, im} or CSV m,re,im rows
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return fmt_float(float(v))
+    return str(v)
+
+
+def to_json_text(obj) -> str:
+    """JSON in the number format of ``csv_cell``; None, NaN and inf are null."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x) or math.isinf(x):
+            return "null"
+        return fmt_float(x)
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{out}"'
+    if isinstance(obj, dict):
+        items = ", ".join(f"{to_json_text(str(k))}: {to_json_text(v)}" for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(to_json_text(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _rows_to_csv(columns, rows) -> str:
+    """Header and one line per row dict; a missing key is an empty cell."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(csv_cell(row.get(col)) for col in columns))
+    return "\n".join(lines) + "\n"
 
 
 def state_to_json(state: SymmetricState) -> str:
     c = state.amplitudes
-    re = ", ".join(_fmt(v) for v in c.real)
-    im = ", ".join(_fmt(v) for v in c.imag)
-    return f'{{"n": {state.n_particles}, "re": [{re}], "im": [{im}]}}'
+    return to_json_text({"n": state.n_particles, "re": c.real.tolist(), "im": c.imag.tolist()})
 
 
 def state_from_json(text: str) -> SymmetricState:
@@ -604,11 +650,9 @@ def state_from_json(text: str) -> SymmetricState:
 
 def state_to_csv(state: SymmetricState) -> str:
     # rows ordered m = +j down to -j, matching the amplitude storage order
-    buf = io.StringIO()
-    buf.write("m,re,im\n")
-    for m, a in zip(m_values(state.n_particles), state.amplitudes):
-        buf.write(f"{_fmt(m)},{_fmt(a.real)},{_fmt(a.imag)}\n")
-    return buf.getvalue()
+    names, c = ("m", "re", "im"), state.amplitudes
+    values = zip(m_values(state.n_particles).tolist(), c.real.tolist(), c.imag.tolist())
+    return _rows_to_csv(names, [dict(zip(names, v)) for v in values])
 
 
 def state_from_csv(text: str) -> SymmetricState:
