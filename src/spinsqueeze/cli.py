@@ -228,7 +228,8 @@ def _parse_scalar(text: str):
 
 def _parse_grid(name: str, text: str) -> list:
     """Grid syntax: 'a:b:count' for a linear grid, or comma-separated values;
-    ``name`` labels the grid in error messages. Non-finite numbers are refused."""
+    ``name`` labels the grid in error messages. An empty list and non-finite
+    numbers are refused."""
     text = text.strip()
     if ":" in text and "," not in text:
         bad = SweepConfigError(
@@ -244,10 +245,10 @@ def _parse_grid(name: str, text: str) -> list:
         if count < 1:
             raise bad
         _check_finite(name, (start, stop))
-        if count == 1:
-            return [start]
         return list(np.linspace(start, stop, count))
     values = [_parse_scalar(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise SweepConfigError(f"grid {name} is empty")
     _check_finite(name, values)
     return values
 
@@ -298,7 +299,8 @@ def parse_sweep_config(path: str) -> SweepConfig:
 
 def sweep(cfg: SweepConfig):
     """Cartesian-product evaluation, one point at a time in lexicographic grid
-    order; per-point failures become flagged rows."""
+    order; per-point failures become flagged rows. Returns (columns, rows),
+    the columns in the order the rows first name them."""
     params, fn = SWEEP_OPS[cfg.op]
     rows = []
     for values in itertools.product(*(cfg.grids[name] for name in params)):
@@ -409,10 +411,7 @@ def _cmd_tat(args) -> int:
     count = args.points
     if count < 1:
         raise SweepConfigError(f"--points must be a positive integer, got {count}")
-    if count == 1:
-        rows = [_eval_tat(args.n, args.chi_t)]
-    else:
-        rows = [_eval_tat(args.n, t) for t in np.linspace(args.chi_t / count, args.chi_t, count)]
+    rows = [_eval_tat(args.n, t) for t in np.linspace(args.chi_t / count, args.chi_t, count)]
     _write_rows(rows, args.format, args.out, title="tat")
     return EXIT_OK
 

@@ -411,7 +411,9 @@ class MomentSet:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "j_squared", float(corr.trace()))
         lo = np.linalg.eigvalsh(cov)[0]
-        if lo < -1e-10 * _scale(cov.tolist()):
+        # cov = C - <J><J>^T cancels terms of size max|C| ~ N^2/4, so its
+        # rounding error scales with C, not with cov
+        if lo < -1e-10 * _scale(a):
             raise ValueError(f"covariance matrix has negative eigenvalue {lo!r}")
 
     @property

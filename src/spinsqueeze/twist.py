@@ -126,9 +126,16 @@ def _eigensystem(n: int, h: HamiltonianSpec) -> tuple:
 def evolve(state: SymmetricState, h: HamiltonianSpec, t: float) -> SymmetricState:
     """Unitary evolution exp(-i H t) via exact eigendecomposition, reused for
     every evolution under the same Hamiltonian at the same N."""
-    if not math.isfinite(t) or not math.isfinite(h.chi * t):
-        raise ValueError("evolution time (and chi*t) must be finite")
     n = state.n_particles
+    # |chi| j(j+1) + |B| j bounds the entries of the generator and |H| for
+    # every kind, so it is checked before either the generator or the phases
+    # are built, on Python floats, which reach inf without a NumPy warning
+    j = n / 2.0
+    top = abs(float(h.chi)) * j * (j + 1.0) + abs(float(h.field_b)) * j
+    if not math.isfinite(top) or not math.isfinite(top * float(t)):
+        raise ValueError(
+            f"chi*t = {float(h.chi) * float(t)!r} at N = {n} gives non-finite evolution phases"
+        )
     c = state.amplitudes
     if h.kind == OAT_Z:
         return SymmetricState(n, np.exp(-1j * h.chi * t * _moment_tables(n)[1]) * c)

@@ -49,7 +49,7 @@ class Criterion:
 
     def __exit__(self, exc_type, exc, tb):
         dt = time.perf_counter() - self.t0
-        status = "PASS" if exc_type is None else "FAIL"
+        status = "PASS" if exc_type is None and dt < self.budget else "FAIL"
         print(f"criterion {self.number} ({self.label}): {status} in {dt:.2f}s "
               f"(budget {self.budget}s)")
         if exc_type is None:

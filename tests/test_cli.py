@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,12 @@ class TestMetricsCommand:
         row = json.loads(out)[0]
         for key in ("xi_S2", "xi_R2", "xi_Rprime2", "xi_D2", "xi_E2", "tilde_xi_E2"):
             assert abs(row[key] - 1.0) < 1e-10
+
+    def test_large_n_css_accepted(self, capsys):
+        code, out, err = run(capsys, "metrics", "--state", "css", "--n", "100000",
+                             "--theta", "1.1", "--phi", "0.4", "--format", "json")
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)[0]["xi_S2"] - 1.0) < 1e-6
 
     def test_dicke_needs_m(self, capsys):
         code, _, err = run(capsys, "metrics", "--state", "dicke", "--n", "4")
@@ -449,6 +456,8 @@ _CHANNEL = ["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p"]
                      id="kicked-top-phi0-inf"),
         pytest.param(["kicked-top", "--kappa", "1", "--spin-j", "inf", "--theta0", "1.0",
                       "--phi0", "0.0", "--kicks", "3"], None, "--spin-j", id="kicked-top-spin-j-inf"),
+        pytest.param(_CHANNEL + [","], None, "grid --p is empty", id="channel-p-empty"),
+        pytest.param(_RAMSEY + [","], None, "grid --phi is empty", id="ramsey-phi-empty"),
     ],
 )
 def test_bad_count_is_usage_error(tmp_path, capsys, argv, config, name):
@@ -475,10 +484,16 @@ _KICKED = ["kicked-top", "--spin-j", "5", "--theta0", "1.0", "--phi0", "0.0", "-
         pytest.param(_KICKED + ["--kappa", "nan"], "kappa", id="kicked-top-kappa-nan"),
         pytest.param(_KICKED + ["--kappa", "1e308"], "kappa", id="kicked-top-kappa-1e308"),
         pytest.param(["oat", "--n", "10", "--theta", "nan"], "theta", id="oat-theta-nan"),
+        pytest.param(["tat", "--n", "20", "--chi-t", "1e307"], "chi*t", id="tat-chi-t-1e307"),
+        pytest.param(["husimi", "--n", "20", "--oat-chi-t", "1e307"], "chi*t",
+                     id="husimi-oat-chi-t-1e307"),
     ],
 )
 def test_non_finite_parameter_is_numeric_error(capsys, argv, name):
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and name in err

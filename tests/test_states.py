@@ -287,6 +287,16 @@ class TestMoments:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             sq.MomentSet(5, good.mean, np.outer(good.mean, good.mean) - np.eye(3))
 
+    @pytest.mark.parametrize("n, theta", [(10**5, 1.1), (10**6, 0.3), (10**6, 1.1), (10**6, 2.0)])
+    def test_large_n_coherent_state_accepted(self, n, theta):
+        # cov = C - <J><J>^T cancels terms of size N^2/4: its rounding error
+        # reaches 1e-4 at N = 1e6, which must not read as a negative variance
+        m = sq.moments(sq.css(n, theta, 0.4))
+        assert abs(m.mean_length / (n / 2.0) - 1.0) < 1e-12
+        lo, mid, hi = np.linalg.eigvalsh(m.cov)
+        assert abs(lo) < 1e-9 * n**2
+        assert abs(mid / (n / 4.0) - 1.0) < 1e-9 and abs(hi / (n / 4.0) - 1.0) < 1e-9
+
     def test_j_squared_fixed(self):
         for n in (2, 5, 12):
             m = sq.moments(random_state(n, n))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,17 @@ class TestEvolve:
         st = dicke(4, -2.0)
         with pytest.raises(ValueError):
             evolve(st, HamiltonianSpec(OAT_X, 1.0), math.inf)
+
+    @pytest.mark.parametrize("kind", [OAT_X, OAT_Z, TAT, OAT_TRANSVERSE])
+    @pytest.mark.parametrize("chi, t", [(1e307, 1.0), (1.0, 1e307)])
+    def test_overflowing_phase_rejected(self, kind, chi, t):
+        # chi j(j+1) t overflows: refused before the generator or the phases
+        # are built, so NumPy never warns
+        st = dicke(20, -10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^chi\*t = "):
+                evolve(st, HamiltonianSpec(kind, chi), t)
 
     @pytest.mark.parametrize("field_b", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_rejected(self, field_b):
