@@ -198,7 +198,7 @@ class _EigenCache:
     The bound is on the bytes of array data held, so a few large-N entries
     cannot pin more memory than many small ones. An entry larger than the
     whole bound is built and returned but not kept. Library callers may
-    share the module caches across their own threads, hence the lock; two
+    share the module cache across their own threads, hence the lock; two
     threads missing on the same key both build it, which costs time but not
     correctness.
     """
@@ -231,13 +231,12 @@ class _EigenCache:
         return value
 
 
-# One cache for every generator decomposition, rotation axes and quadratic
-# Hamiltonians alike: 32 MiB holds about a hundred N = 200 generators, or one
-# at N = 2000
+# The one cache for reuse across calls: every generator decomposition (rotation
+# axes and quadratic Hamiltonians alike) and the per-N ladder weights. 32 MiB
+# holds about a hundred N = 200 generators, or one at N = 2000; a loop over one
+# generator holds its decomposition itself rather than relying on this bound
 _EIGEN_CACHE_BYTES = 32 * 2**20
 _GENERATOR_EIGEN = _EigenCache(_EIGEN_CACHE_BYTES)
-# per-N ladder weights: five N-vectors per N, hundreds of entries at N = 200
-_MOMENT_TABLES = _EigenCache(4 * 2**20)
 
 
 def _moment_tables(n: int) -> tuple:
@@ -254,7 +253,7 @@ def _moment_tables(n: int) -> tuple:
         f = np.sqrt(np.maximum(j * (j + 1) - m[1:] * (m[1:] + 1), 0.0))
         return m, m * m, f, f * (m[:-1] + m[1:]) / 2.0, f[:-1] * f[1:]
 
-    return _MOMENT_TABLES.get(n, build)
+    return _GENERATOR_EIGEN.get(("tables", n), build)
 
 
 def _real_matmul(a: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ from .states import (
     _parity_eigensystem,
     _propagate,
     collective_from_local,
+    dicke,
     moments,
-    rotate,
 )
 from .metrics import SqueezingReport, compute_report, min_transverse_variance
 
@@ -145,8 +145,6 @@ def evolve(state: SymmetricState, h: HamiltonianSpec, t: float) -> SymmetricStat
 
 def oat_state(n_particles: int, theta: float) -> SymmetricState:
     """One-axis twisted state exp(-i theta Jx^2 / 2) |j,-j>."""
-    from .states import dicke
-
     south = dicke(n_particles, -n_particles / 2.0)
     return evolve(south, HamiltonianSpec(OAT_X, 0.5), theta)
 
@@ -234,16 +232,16 @@ def tat_minimum(n_particles: int) -> tuple[float, float]:
     """Minimum of xi_S^2 over chi*t in (0, pi/2] for two-axis twisting.
 
     A coarse scan locates the dip and bounded scalar minimization polishes
-    it. Returns (chi_t_star, xi_s2_min).
+    it. The TAT decomposition is fetched once for the whole search. Returns
+    (chi_t_star, xi_s2_min).
     """
-    from .states import dicke
-
     n = int(n_particles)
-    south = dicke(n, -n / 2.0)
-    ham = HamiltonianSpec(TAT, 1.0)
+    south = dicke(n, -n / 2.0).amplitudes
+    blocks, gauge = _eigensystem(n, HamiltonianSpec(TAT, 1.0))
 
     def xi_at(chi_t: float) -> float:
-        return compute_report(moments(evolve(south, ham, chi_t))).xi_S2
+        psi = SymmetricState(n, _propagate(south, gauge, blocks, chi_t))
+        return compute_report(moments(psi)).xi_S2
 
     return _scan_minimum(
         xi_at, np.linspace(math.pi / 2.0 / _TAT_COARSE, math.pi / 2.0, _TAT_COARSE)
@@ -274,14 +272,15 @@ def kicked_top_trajectory(
     if abs(spec.j - n / 2.0) > 1e-9:
         raise ValueError(f"spec.j={spec.j} does not match the state (N={n})")
     twist_phases = np.exp(-1j * spec.kappa / (2.0 * spec.j) * _moment_tables(n)[1])
+    # the J_y kick is the same every step, so its decomposition is fetched once
+    w, v, gauge = _axis_eigensystem(n, (0.0, 1.0, 0.0))
+    kick = [(0, 1, w, v)]
     psi = initial
     reports: list[SqueezingReport] = []
     means = np.zeros((n_kicks, 3))
-    yhat = np.array([0.0, 1.0, 0.0])
     last_squeezed = 0
     for step in range(1, n_kicks + 1):
-        psi = rotate(psi, yhat, spec.p)
-        psi = SymmetricState(n, twist_phases * psi.amplitudes)
+        psi = SymmetricState(n, twist_phases * _propagate(psi.amplitudes, gauge, kick, spec.p))
         mset = moments(psi)
         rep = compute_report(mset)
         reports.append(rep)

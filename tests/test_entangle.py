@@ -245,7 +245,7 @@ class TestThirdMoments:
         # random complex states (no parity symmetry), sizes interleaved so
         # cached and fresh per-N tables alternate
         fresh = spinsqueeze.states._EigenCache(4 * 2**20)
-        monkeypatch.setattr(spinsqueeze.states, "_MOMENT_TABLES", fresh)
+        monkeypatch.setattr(spinsqueeze.states, "_GENERATOR_EIGEN", fresh)
         worst = 0.0
         for seed, n in enumerate((2, 37, 3, 120, 7, 2, 37, 3, 120, 7)):
             st = random_state(n, 500 + seed)

@@ -257,12 +257,33 @@ class TestOatProperties:
                 assert abs(got.smsm - lm.smsm) < 1e-10
 
 
+def _count_decompositions(monkeypatch) -> list:
+    """Shapes of the tridiagonal eigensolver calls made from now on, under a
+    generator cache that keeps nothing."""
+    calls = []
+    real = states.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(states, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(states, "_GENERATOR_EIGEN", states._EigenCache(1))
+    return calls
+
+
 class TestTat:
     def test_minimum_scaling(self):
         ns = [20, 60, 140, 200]
         mins = [tat_minimum(n)[1] for n in ns]
         slope = np.polyfit(np.log(ns), np.log(mins), 1)[0]
         assert -1.1 < slope < -0.9
+
+    def test_search_decomposes_once(self, monkeypatch):
+        want = tat_minimum(40)
+        calls = _count_decompositions(monkeypatch)
+        assert tat_minimum(40) == want
+        assert calls == [(21,), (20,)]  # one per parity block
 
 
 class TestKickedTop:
@@ -308,6 +329,15 @@ class TestKickedTop:
         res = self.traj(0.63, 5)
         assert len(res.reports) == 5
         assert res.means.shape == (5, 3)
+
+    def test_trajectory_holds_its_decomposition(self, monkeypatch):
+        want = self.traj(0.63, 12)
+        calls = _count_decompositions(monkeypatch)
+        got = self.traj(0.63, 12)
+        assert calls == [(51,)]
+        assert got.reports == want.reports
+        assert np.array_equal(got.means, want.means)
+        assert got.vanishing_step == want.vanishing_step
 
     def test_one_decomposition_per_trajectory(self, monkeypatch):
         calls = []
