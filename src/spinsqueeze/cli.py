@@ -108,9 +108,10 @@ def _write_rows(rows, fmt, out_path, title=""):
 
 
 def _eval_oat(n: int, theta: float) -> dict:
-    lm = twist.oat_closed_form(int(n), theta)
+    n = states._check_n(n)
+    lm = twist.oat_closed_form(n, theta)
     rep = metrics.compute_report(states.collective_from_local(lm))
-    row = {"n": int(n), "theta": theta}
+    row = {"n": n, "theta": theta}
     row.update(rep.to_dict())
     return row
 
@@ -127,16 +128,17 @@ def _traj_row(mean, rep) -> dict:
 
 
 def _eval_tat(n: int, chi_t: float) -> dict:
-    psi = twist.evolve(states.dicke(int(n), -n / 2.0), twist.HamiltonianSpec(twist.TAT, 1.0), chi_t)
+    n = states._check_n(n)
+    psi = twist.evolve(states.dicke(n, -n / 2.0), twist.HamiltonianSpec(twist.TAT, 1.0), chi_t)
     mset = states.moments(psi)
     rep = metrics.compute_report(mset)
-    row = {"n": int(n), "chi_t": chi_t}
+    row = {"n": n, "chi_t": chi_t}
     row.update(_traj_row(mset.mean, rep))
     return row
 
 
 def _eval_channel(channel: str, n: int, theta0: float, p: float) -> dict:
-    lm0 = twist.oat_closed_form(int(n), theta0)
+    lm0 = twist.oat_closed_form(n, theta0)
     dec = channels.decohered_squeezing(lm0, channels.ChannelSpec(channel, p))
     return {
         "p": p,
@@ -148,9 +150,10 @@ def _eval_channel(channel: str, n: int, theta0: float, p: float) -> dict:
 
 
 def _eval_lmg(n: int, h: float, gamma: float) -> dict:
-    _, rep = models.lmg_ground(models.LMGSpec(int(n), h, gamma))
+    spec = models.LMGSpec(n, h, gamma)
+    _, rep = models.lmg_ground(spec)
     return {
-        "n": int(n),
+        "n": spec.n,
         "h": h,
         "gamma": gamma,
         "xi_S2": rep.xi_S2,
@@ -170,7 +173,8 @@ def _ramsey_state(name: str, n: int) -> states.SymmetricState:
 
 
 def _eval_ramsey(n: int, state: str, readout: str, phi: float) -> dict:
-    signal, variance, slope = metrology._readout(_ramsey_state(state, int(n)), phi, readout)
+    n = states._check_n(n)
+    signal, variance, slope = metrology._readout(_ramsey_state(state, n), phi, readout)
     # a zero slope leaves dphi empty for this operating point
     dphi = None if slope is None else math.sqrt(variance / slope**2)
     return {"phi": phi, "signal": signal, "dsignal": math.sqrt(variance), "dphi": dphi}
@@ -259,6 +263,20 @@ def _check_finite(name: str, values) -> None:
         raise SweepConfigError(f"grid {name} must hold finite numbers, got {bad[0]!r}")
 
 
+def _check_integral(name: str, values) -> None:
+    bad = [v for v in values if isinstance(v, float) and not v.is_integer()]
+    if bad:
+        raise SweepConfigError(f"grid {name} must hold integers, got {float(bad[0])!r}")
+
+
+def _check_counts(*flags) -> None:
+    """Refuse a count flag below its least value, given as (flag, value,
+    least) triples."""
+    for flag, value, least in flags:
+        if value < least:
+            raise SweepConfigError(f"{flag} must be an integer >= {least}, got {value}")
+
+
 def _check_finite_flags(*flags) -> None:
     """Refuse a non-finite value of a float flag, given as (flag, value)
     pairs; an absent flag (None) passes."""
@@ -285,7 +303,10 @@ def parse_sweep_config(path: str) -> SweepConfig:
             if key == "op":
                 op = _parse_scalar(value)
             elif key.startswith("grid."):
-                grids[key[5:]] = _parse_grid(key[5:], value)
+                name = key[5:]
+                grids[name] = _parse_grid(name, value)
+                if name == "n":
+                    _check_integral(name, grids[name])
             elif key == "format":
                 kw["out_format"] = str(_parse_scalar(value))
             elif key == "out":
@@ -408,10 +429,9 @@ def _cmd_oat(args) -> int:
 
 
 def _cmd_tat(args) -> int:
-    count = args.points
-    if count < 1:
-        raise SweepConfigError(f"--points must be a positive integer, got {count}")
-    rows = [_eval_tat(args.n, t) for t in np.linspace(args.chi_t / count, args.chi_t, count)]
+    _check_counts(("--points", args.points, 1))
+    chi_ts = np.linspace(args.chi_t / args.points, args.chi_t, args.points)
+    rows = [_eval_tat(args.n, t) for t in chi_ts]
     _write_rows(rows, args.format, args.out, title="tat")
     return EXIT_OK
 
@@ -419,6 +439,7 @@ def _cmd_tat(args) -> int:
 def _cmd_kicked_top(args) -> int:
     _check_finite_flags(("--spin-j", args.spin_j), ("--theta0", args.theta0),
                         ("--phi0", args.phi0))
+    _check_counts(("--kicks", args.kicks, 1))
     n = int(round(2 * args.spin_j))
     initial = states.css(n, args.theta0, args.phi0)
     spec = twist.KickedTopSpec(kappa=args.kappa, j=args.spin_j)
@@ -458,6 +479,7 @@ def _cmd_ramsey(args) -> int:
 
 
 def _cmd_qnd(args) -> int:
+    _check_counts(("--trials", args.trials, 0))
     spec = models.QNDSpec(args.n, args.photons, args.chi, args.eta)
     res = models.qnd_conditional(spec)
     row = {
@@ -507,9 +529,7 @@ def _grid_csv(thetas, phis, q) -> str:
 def _cmd_husimi(args) -> int:
     _check_finite_flags(("--theta", args.theta), ("--phi", args.phi),
                         ("--oat-chi-t", args.oat_chi_t))
-    for flag, count in (("--n-theta", args.n_theta), ("--n-phi", args.n_phi)):
-        if count < 1:
-            raise SweepConfigError(f"{flag} must be a positive integer, got {count}")
+    _check_counts(("--n-theta", args.n_theta, 1), ("--n-phi", args.n_phi, 1))
     psi = states.css(args.n, args.theta, args.phi)
     if args.oat_chi_t is not None:
         psi = twist.evolve(psi, twist.HamiltonianSpec(twist.OAT_X, 1.0), args.oat_chi_t)

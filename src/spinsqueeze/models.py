@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import SymmetricState, _parity_ground, moments
+from .states import SymmetricState, _check_n, _parity_ground, moments
 from .metrics import SqueezingReport, compute_report
 
 __all__ = [
@@ -36,8 +36,10 @@ class LMGSpec:
     lambda_coupling: float = 1.0
 
     def __post_init__(self):
-        if self.n < 2:
+        n = _check_n(self.n)
+        if n < 2:
             raise ValueError("need N >= 2")
+        object.__setattr__(self, "n", n)
         for name in ("h", "lambda_coupling"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

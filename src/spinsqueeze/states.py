@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 __all__ = [
     "SymmetricState",
@@ -124,6 +123,8 @@ def _density_eigh(rho) -> tuple:
 
 
 def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
+    from scipy.special import gammaln  # deferred: no command needs it at start-up
+
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
@@ -166,14 +167,20 @@ def css(n_particles: int, theta: float, phi: float) -> SymmetricState:
 def dicke(n_particles: int, m: float) -> SymmetricState:
     """Dicke state |j, m>, the J_z eigenstate with eigenvalue m."""
     n = _check_n(n_particles)
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[_ladder_index(n, m)] = 1.0
+    return SymmetricState(n, amps)
+
+
+def _ladder_index(n: int, m: float) -> int:
+    """Dicke index j - m of the J_z eigenvalue m, refused unless m lies on the
+    ladder -j..j within 1e-9."""
     j = n / 2.0
     idx = j - m
     # the range test comes first: it also refuses NaN and inf before round()
     if not -j - 1e-9 <= m <= j + 1e-9 or abs(idx - round(idx)) > 1e-9:
         raise ValueError(f"m={m!r} is not in the ladder -j..j for j={j}")
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[int(round(idx))] = 1.0
-    return SymmetricState(n, amps)
+    return int(round(idx))
 
 
 def _apply_jp(c: np.ndarray, n: int) -> np.ndarray:
@@ -479,11 +486,13 @@ def local_from_moments(mset: MomentSet) -> LocalMoments:
     n = mset.n_particles
     if n < 2:
         raise ValueError("no pair exists for N = 1")
-    jz = mset.mean[2]
-    jz2 = mset.corr[2, 2]
-    jperp2 = mset.corr[0, 0] + mset.corr[1, 1]
+    # on Python floats: numpy's per-scalar cost dominates at 3x3
+    jz = mset.mean.tolist()[2]
+    c = mset.corr.tolist()
+    jz2 = c[2][2]
+    jperp2 = c[0][0] + c[1][1]
     # J_-^2 = J_x^2 - J_y^2 - i (J_x J_y + J_y J_x)
-    jm2 = (mset.corr[0, 0] - mset.corr[1, 1]) - 2.0j * mset.corr[0, 1]
+    jm2 = (c[0][0] - c[1][1]) - 2.0j * c[0][1]
     nn1 = n * (n - 1)
     return LocalMoments(
         n_particles=n,
@@ -661,8 +670,12 @@ def state_from_csv(text: str) -> SymmetricState:
     rows = [ln.split(",") for ln in lines]
     n = len(rows) - 1
     amps = np.zeros(n + 1, dtype=complex)
-    j = n / 2.0
+    seen = set()
     for m_s, re_s, im_s in rows:
-        idx = int(round(j - float(m_s)))
+        m = float(m_s)
+        idx = _ladder_index(n, m)
+        if idx in seen:
+            raise ValueError(f"m={m!r} appears in more than one row")
+        seen.add(idx)
         amps[idx] = float(re_s) + 1j * float(im_s)
     return SymmetricState(n, amps)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .states import (
     LocalMoments,
     SymmetricState,
     _axis_eigensystem,
+    _check_n,
     _moment_tables,
     _parity_eigensystem,
     _propagate,
@@ -152,7 +152,7 @@ def oat_state(n_particles: int, theta: float) -> SymmetricState:
 def oat_closed_form(n_particles: int, theta: float) -> LocalMoments:
     """Closed-form pair moments of the one-axis twisted state at angle
     theta = 2*chi*t."""
-    n = int(n_particles)
+    n = _check_n(n_particles)
     if n < 2:
         raise ValueError("one-axis twisting pair moments need N >= 2")
     if not math.isfinite(theta):
@@ -173,7 +173,7 @@ def oat_closed_form(n_particles: int, theta: float) -> LocalMoments:
 
 def oat_concurrence(n_particles: int, theta: float) -> float:
     """Pairwise concurrence of the one-axis twisted state."""
-    n = int(n_particles)
+    n = _check_n(n_particles)
     if n < 2:
         raise ValueError("concurrence needs N >= 2")
     a = 1.0 - math.cos(theta) ** (n - 2)
@@ -195,6 +195,8 @@ def _scan_minimum(f, grid: np.ndarray) -> tuple[float, float]:
     """(x, f(x)) at the minimum of f: the scan over ``grid`` brackets the dip
     between the neighbours of its lowest point, and bounded scalar
     minimization refines it to 1e-12."""
+    from scipy.optimize import minimize_scalar  # deferred: no command needs it
+
     k = int(np.argmin([f(x) for x in grid]))
     lo = grid[max(0, k - 1)]
     hi = grid[min(len(grid) - 1, k + 1)]
@@ -208,7 +210,7 @@ def optimal_oat(n_particles: int) -> OptimalOAT:
     Uses the closed forms, a coarse scan bracketing the dip, then bounded
     scalar minimization.
     """
-    n = int(n_particles)
+    n = _check_n(n_particles)
     if n < 10:
         raise ValueError("optimal-angle search assumes N >= 10")
     theta0 = 12.0 ** (1.0 / 6.0) * (n / 2.0) ** (-2.0 / 3.0)
@@ -229,13 +231,14 @@ _TAT_COARSE = 200
 
 
 def tat_minimum(n_particles: int) -> tuple[float, float]:
-    """Minimum of xi_S^2 over chi*t in (0, pi/2] for two-axis twisting.
+    """Minimum of xi_S^2 over chi*t in [0.1/N, pi/2] for two-axis twisting.
 
-    A coarse scan locates the dip and bounded scalar minimization polishes
-    it. The TAT decomposition is fetched once for the whole search. Returns
-    (chi_t_star, xi_s2_min).
+    A coarse scan, log-spaced from 0.1/N to pi/2 because the dip moves in
+    roughly like ln(N)/N, locates the dip, and bounded scalar minimization
+    polishes it. The TAT decomposition is fetched once for the whole search.
+    Returns (chi_t_star, xi_s2_min).
     """
-    n = int(n_particles)
+    n = _check_n(n_particles)
     south = dicke(n, -n / 2.0).amplitudes
     blocks, gauge = _eigensystem(n, HamiltonianSpec(TAT, 1.0))
 
@@ -243,9 +246,7 @@ def tat_minimum(n_particles: int) -> tuple[float, float]:
         psi = SymmetricState(n, _propagate(south, gauge, blocks, chi_t))
         return compute_report(moments(psi)).xi_S2
 
-    return _scan_minimum(
-        xi_at, np.linspace(math.pi / 2.0 / _TAT_COARSE, math.pi / 2.0, _TAT_COARSE)
-    )
+    return _scan_minimum(xi_at, np.geomspace(0.1 / n, math.pi / 2.0, _TAT_COARSE))
 
 
 class KickedTopResult(NamedTuple):

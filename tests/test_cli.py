@@ -59,6 +59,13 @@ class TestExitCodes:
             )
             assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
+    def test_start_up_defers_optimize_and_special(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sq.__file__)))
+        probe = ("import sys, spinsqueeze.cli; "
+                 "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))")
+        fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert (fresh.returncode, fresh.stdout) == (0, "[]\n")
+
 
 class TestOatCommand:
     def test_json_value_matches_closed_form(self, capsys):
@@ -219,6 +226,24 @@ class TestSweep:
         grids = {"n": [8], "h": [0.5, float("nan")], "gamma": [0.2]}
         _, rows = sweep(SweepConfig("lmg", grids))
         assert [row["status"] for row in rows] == ["ok", "error: h must be finite"]
+
+    def test_fractional_n_point_flagged(self):
+        # the config parser refuses a fractional n; a sweep built in the
+        # library flags the point instead of truncating it
+        grids = {"channel": ["pdc"], "n": [2, 2.5, 6.0], "theta0": [0.3], "p": [0.1]}
+        _, rows = sweep(SweepConfig("channel", grids))
+        statuses = [row["status"] for row in rows]
+        assert statuses[0] == statuses[2] == "ok"
+        assert statuses[1].startswith("error: invalid system size N=2.5")
+
+    def test_integral_float_n_matches_int(self, tmp_path, capsys):
+        outs = []
+        for n in ("6", "6.0"):
+            cfg = self.write_config(tmp_path, f"op = oat\ngrid.n = {n}\ngrid.theta = 0.3\n")
+            code, out, _ = run(capsys, "sweep", "--config", cfg)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_unknown_operation_rejected(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "op = teleport\ngrid.n = 2\n")
@@ -423,6 +448,14 @@ _CHANNEL = ["channel", "--channel", "pdc", "--n", "8", "--theta0", "0.5", "--p"]
                      id="tat-points--3"),
         pytest.param(["tat", "--n", "8", "--chi-t", "0.1", "--points", "0"], None, "--points",
                      id="tat-points-0"),
+        pytest.param(_KICKED_AT[:-1] + ["0", "--theta0", "1.0", "--phi0", "0.0"], None, "--kicks",
+                     id="kicked-top-kicks-0"),
+        pytest.param(["qnd", "--n", "100", "--photons", "1000", "--chi", "0.001", "--trials", "-3"],
+                     None, "--trials", id="qnd-trials--3"),
+        pytest.param([], "op = oat\ngrid.n = 2:11:3\ngrid.theta = 0.3\n", "grid n",
+                     id="config-n-fractional-linear"),
+        pytest.param([], "op = channel\ngrid.channel = pdc\ngrid.n = 2.5\ngrid.theta0 = 0.3\n"
+                     "grid.p = 0.1\n", "grid n", id="config-n-fractional-list"),
         *[
             pytest.param([], _SWEEP_BASE + f"workers = {value}\n", "unknown key 'workers'",
                          id=f"config-workers-{value}")

@@ -466,6 +466,17 @@ class TestSerialization:
         back = sq.state_from_csv(sq.state_to_csv(st))
         assert np.max(np.abs(back.amplitudes - st.amplitudes)) < 1e-16
 
+    @pytest.mark.parametrize(
+        "rows, m",
+        [
+            pytest.param(["1,1,0", "0.4,0,0", "-1,0,0"], "0.4", id="off-ladder"),
+            pytest.param(["1,0.6,0", "1,0.8,0", "-1,0,0"], "1.0", id="repeated"),
+        ],
+    )
+    def test_csv_refuses_m_off_the_ladder_or_repeated(self, rows, m):
+        with pytest.raises(ValueError, match=f"m={m}"):
+            sq.state_from_csv("m,re,im\n" + "\n".join(rows) + "\n")
+
     def test_csv_m_ordering(self):
         text = sq.state_to_csv(sq.dicke(4, 2.0))
         first_row = text.splitlines()[1]

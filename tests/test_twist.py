@@ -29,6 +29,12 @@ from oracles import collective_ops, dicke_to_full, local_from_rdm2, rdm2_standar
 
 
 class TestOatClosedForm:
+    @pytest.mark.parametrize("closed_form", [oat_closed_form, oat_concurrence])
+    def test_fractional_n_refused(self, closed_form):
+        with pytest.raises(ValueError, match="integer N"):
+            closed_form(6.5, 0.3)
+        assert closed_form(6.0, 0.3) == closed_form(6, 0.3)
+
     def test_untwisted_is_south_pole(self):
         lm = oat_closed_form(8, 0.0)
         assert lm.sz == -1.0
@@ -278,6 +284,19 @@ class TestTat:
         mins = [tat_minimum(n)[1] for n in ns]
         slope = np.polyfit(np.log(ns), np.log(mins), 1)[0]
         assert -1.1 < slope < -0.9
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_minimum_matches_fine_log_scan(self, n):
+        # the dip lies below chi*t = pi/400 here, where a linear scan from
+        # pi/400 starts past it
+        south = dicke(n, -n / 2.0)
+        ham = HamiltonianSpec(TAT, 1.0)
+        fine = min(
+            compute_report(moments(evolve(south, ham, chi_t))).xi_S2
+            for chi_t in np.geomspace(0.1 / n, math.pi / 2.0, 4000)
+        )
+        _, xi = tat_minimum(n)
+        assert fine * (1.0 - 2e-5) < xi <= fine
 
     def test_search_decomposes_once(self, monkeypatch):
         want = tat_minimum(40)
