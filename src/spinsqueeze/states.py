@@ -20,6 +20,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -274,35 +275,45 @@ def _real_matmul(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (a @ pairs).view(complex).reshape(-1)
 
 
-def _propagate(c: np.ndarray, gauge: np.ndarray, blocks, t: float) -> np.ndarray:
-    """exp(-i t H) c for H = diag(gauge) B diag(gauge)^*, where B is the direct
-    sum of v diag(w) v^T over ``blocks`` of (start, stride, w, v), each with a
-    real orthogonal v acting on the Dicke indices start::stride.
+class _Propagator(NamedTuple):
+    """``prop(c, t)`` is exp(-i t H) c for H = diag(gauge) B diag(gauge)^*, B the
+    direct sum of v diag(w) v^T over ``blocks`` of (start, stride, w, v), each
+    with a real orthogonal v acting on the Dicke indices start::stride.
     """
-    d = np.conj(gauge) * c
-    for start, stride, w, v in blocks:  # disjoint index sets, so d is updated in place
-        tmp = _real_matmul(v.T, d[start::stride])
-        d[start::stride] = _real_matmul(v, np.exp(-1j * t * w) * tmp)
-    return gauge * d
+
+    blocks: list
+    gauge: np.ndarray
+
+    def __call__(self, c: np.ndarray, t: float) -> np.ndarray:
+        d = np.conj(self.gauge) * c
+        for start, stride, w, v in self.blocks:  # disjoint index sets, so d is updated in place
+            tmp = _real_matmul(v.T, d[start::stride])
+            d[start::stride] = _real_matmul(v, np.exp(-1j * t * w) * tmp)
+        return self.gauge * d
 
 
-def _axis_eigensystem(n: int, axis: tuple) -> tuple:
-    """(w, v, gauge) with J.axis = diag(gauge) v diag(w) v^T diag(gauge)^*.
-
-    J.axis is tridiagonal in the Dicke basis; the diagonal phase gauge makes
-    its off-diagonal real, so v comes from a real tridiagonal eigensolver.
-    Results are cached per (N, axis) and read-only.
+def _axis_propagator(n: int, axis: tuple) -> _Propagator:
+    """exp(-i t J.axis). A diagonal phase gauge makes J.axis the real
+    tridiagonal z m, |x - i y| f/2 in the Dicke basis; its (w, v) are cached
+    per (N, z, |x - i y|), so J_x, J_y and -J_y share one entry, and the gauge
+    is cached apart per (N, x, y).
     """
+    x, y, z = axis
+    r, z = abs(complex(x, -y)), z + 0.0  # -0.0 and 0.0 are one key, so one entry
 
     def build():
         m, _, f, _, _ = _moment_tables(n)
-        t = 0.5 * (axis[0] - 1j * axis[1]) * f  # couples index i to i-1
+        return eigh_tridiagonal(z * m, 0.5 * r * f)
+
+    def build_gauge():
+        t = 0.5 * (x - 1j * y) * _moment_tables(n)[2]  # couples index i to i-1
         phases = np.zeros(n + 1)
         phases[1:] = -np.cumsum(np.angle(t))
-        w, v = eigh_tridiagonal(axis[2] * m, np.abs(t))
-        return w, v, np.exp(1j * phases)
+        return (np.exp(1j * phases),)
 
-    return _GENERATOR_EIGEN.get(("axis", n, axis), build)
+    w, v = _GENERATOR_EIGEN.get(("axis", n, z, r), build)
+    (gauge,) = _GENERATOR_EIGEN.get(("gauge", n, x, y), build_gauge)
+    return _Propagator([(0, 1, w, v)], gauge)
 
 
 def _parity_bands(n: int, coeffs: tuple) -> list:
@@ -320,15 +331,15 @@ def _parity_bands(n: int, coeffs: tuple) -> list:
     return [(start, diag[start::2], off[start::2]) for start in (n % 2, 1 - n % 2)]
 
 
-def _parity_eigensystem(n: int, coeffs: tuple) -> list:
-    """[(start, 2, w, v)] per parity block of the quadratic generator, for
-    ``_propagate``; cached per (N, coeffs) and read-only."""
+def _parity_propagator(n: int, coeffs: tuple, gauge: np.ndarray) -> _Propagator:
+    """Propagator of the quadratic generator under ``gauge``, one block per
+    parity; the blocks are cached per (N, coeffs) and read-only."""
 
     def build():
         return [x for _, d, e in _parity_bands(n, coeffs) for x in eigh_tridiagonal(d, e)]
 
     w0, v0, w1, v1 = _GENERATOR_EIGEN.get(("parity", n, coeffs), build)
-    return [(n % 2, 2, w0, v0), (1 - n % 2, 2, w1, v1)]
+    return _Propagator([(n % 2, 2, w0, v0), (1 - n % 2, 2, w1, v1)], gauge)
 
 
 def _parity_ground(n: int, coeffs: tuple) -> SymmetricState:
@@ -354,8 +365,8 @@ def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
 
     The generator is tridiagonal in the Dicke basis, so the propagator is
     evaluated exactly through a real symmetric tridiagonal eigendecomposition
-    (a diagonal phase gauge removes the complex off-diagonal phases), reused
-    for every rotation about the same axis at the same N.
+    (a diagonal phase gauge removes the complex off-diagonal phases), shared
+    by every axis with the same z and |x - i y| at the same N.
     """
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
@@ -371,8 +382,7 @@ def rotate(state: SymmetricState, axis, angle: float) -> SymmetricState:
         # pure J_z rotation, diagonal
         out = np.exp(-1j * angle * ax[2] * _moment_tables(n)[0]) * c
         return SymmetricState(n, out)
-    w, v, gauge = _axis_eigensystem(n, (float(ax[0]), float(ax[1]), float(ax[2])))
-    return SymmetricState(n, _propagate(c, gauge, [(0, 1, w, v)], angle))
+    return SymmetricState(n, _axis_propagator(n, tuple(ax.tolist()))(c, angle))
 
 
 def _scale(a: list) -> float:

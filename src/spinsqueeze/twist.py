@@ -20,11 +20,11 @@ import numpy as np
 from .states import (
     LocalMoments,
     SymmetricState,
-    _axis_eigensystem,
+    _axis_propagator,
     _check_n,
     _moment_tables,
-    _parity_eigensystem,
-    _propagate,
+    _parity_propagator,
+    _Propagator,
     collective_from_local,
     dicke,
     moments,
@@ -100,9 +100,8 @@ class KickedTopSpec:
             raise ValueError("kick angle p must be finite")
 
 
-def _eigensystem(n: int, h: HamiltonianSpec) -> tuple:
-    """(blocks, gauge) with H = diag(gauge) B diag(gauge)^*, B the direct sum of
-    the real blocks (start, stride, w, v) that ``_propagate`` takes.
+def _propagator(n: int, h: HamiltonianSpec) -> _Propagator:
+    """exp(-i t H) for every kind but the diagonal OAT_Z.
 
     chi*Jx^2 squares the cached J_x eigenvalues, which is more accurate than
     solving it as a quadratic generator. chi*Jx^2 + B*Jz = chi j(j+1)/2 -
@@ -111,8 +110,9 @@ def _eigensystem(n: int, h: HamiltonianSpec) -> tuple:
     chi/2 (J+^2 + J-^2) under the gauge e^{i pi k/4} on the k-th Dicke index.
     """
     if h.kind == OAT_X:
-        w, v, gauge = _axis_eigensystem(n, (1.0, 0.0, 0.0))
-        return [(0, 1, h.chi * w**2, v)], gauge
+        jx = _axis_propagator(n, (1.0, 0.0, 0.0))
+        [(_, _, w, v)] = jx.blocks
+        return jx._replace(blocks=[(0, 1, h.chi * w**2, v)])
     if h.kind == TAT:
         coeffs = (0.0, 0.0, 0.0, h.chi / 2.0)
         gauge = np.exp(0.25j * np.pi * np.arange(n + 1))
@@ -120,7 +120,7 @@ def _eigensystem(n: int, h: HamiltonianSpec) -> tuple:
         j = n / 2.0
         coeffs = (h.chi * j * (j + 1.0) / 2.0, -h.chi / 2.0, h.field_b, h.chi / 4.0)
         gauge = np.ones(n + 1, dtype=complex)
-    return _parity_eigensystem(n, coeffs), gauge
+    return _parity_propagator(n, coeffs, gauge)
 
 
 def evolve(state: SymmetricState, h: HamiltonianSpec, t: float) -> SymmetricState:
@@ -139,8 +139,7 @@ def evolve(state: SymmetricState, h: HamiltonianSpec, t: float) -> SymmetricStat
     c = state.amplitudes
     if h.kind == OAT_Z:
         return SymmetricState(n, np.exp(-1j * h.chi * t * _moment_tables(n)[1]) * c)
-    blocks, gauge = _eigensystem(n, h)
-    return SymmetricState(n, _propagate(c, gauge, blocks, t))
+    return SymmetricState(n, _propagator(n, h)(c, t))
 
 
 def oat_state(n_particles: int, theta: float) -> SymmetricState:
@@ -240,10 +239,10 @@ def tat_minimum(n_particles: int) -> tuple[float, float]:
     """
     n = _check_n(n_particles)
     south = dicke(n, -n / 2.0).amplitudes
-    blocks, gauge = _eigensystem(n, HamiltonianSpec(TAT, 1.0))
+    prop = _propagator(n, HamiltonianSpec(TAT, 1.0))
 
     def xi_at(chi_t: float) -> float:
-        psi = SymmetricState(n, _propagate(south, gauge, blocks, chi_t))
+        psi = SymmetricState(n, prop(south, chi_t))
         return compute_report(moments(psi)).xi_S2
 
     return _scan_minimum(xi_at, np.geomspace(0.1 / n, math.pi / 2.0, _TAT_COARSE))
@@ -274,14 +273,13 @@ def kicked_top_trajectory(
         raise ValueError(f"spec.j={spec.j} does not match the state (N={n})")
     twist_phases = np.exp(-1j * spec.kappa / (2.0 * spec.j) * _moment_tables(n)[1])
     # the J_y kick is the same every step, so its decomposition is fetched once
-    w, v, gauge = _axis_eigensystem(n, (0.0, 1.0, 0.0))
-    kick = [(0, 1, w, v)]
+    kick = _axis_propagator(n, (0.0, 1.0, 0.0))
     psi = initial
     reports: list[SqueezingReport] = []
     means = np.zeros((n_kicks, 3))
     last_squeezed = 0
     for step in range(1, n_kicks + 1):
-        psi = SymmetricState(n, twist_phases * _propagate(psi.amplitudes, gauge, kick, spec.p))
+        psi = SymmetricState(n, twist_phases * kick(psi.amplitudes, spec.p))
         mset = moments(psi)
         rep = compute_report(mset)
         reports.append(rep)

@@ -28,6 +28,22 @@ def random_state(n, seed):
     return sq.SymmetricState.normalized(n, amps)
 
 
+def count_decompositions(monkeypatch, max_bytes=20000):
+    """Install a fresh cache of ``max_bytes`` and return the list that each
+    tridiagonal eigendecomposition appends to. 20000 bytes hold the N = 40
+    ladder tables and one axis decomposition, but not two."""
+    monkeypatch.setattr(states, "_GENERATOR_EIGEN", states._EigenCache(max_bytes))
+    calls = []
+    solve = states.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(states, "eigh_tridiagonal", counted)
+    return calls
+
+
 class TestOperators:
     """The dense reference spin matrices, and the package's ladder table
     against them."""
@@ -194,8 +210,30 @@ class TestRotate:
                     want = expm(-1j * angle * gen) @ st.amplitudes
                     assert np.max(np.abs(got.amplitudes - want)) < 1e-12 * n
 
+    def test_shared_axes_match_expm_under_bounded_cache(self, monkeypatch):
+        # +-x and +-y share one (w, v) per N, so each visit to an N builds it at
+        # most once even in a cache that holds one N = 40 decomposition; the
+        # tilted axis needs its own entry and evicts the shared one at N = 40
+        calls = count_decompositions(monkeypatch)
+        tilted = np.array([0.3, -0.5, 0.81])
+        tilted /= np.linalg.norm(tilted)
+        for n in (6, 40, 13, 40, 6):
+            st = random_state(n, 5 + n)
+            ops = spin_matrices(n / 2.0)
+            for group in ([XHAT, YHAT, -YHAT, -XHAT], [tilted]):
+                before = len(calls)
+                for axis in group:
+                    gen = axis[0] * ops["jx"] + axis[1] * ops["jy"] + axis[2] * ops["jz"]
+                    for angle in (0.77, -2.4):
+                        got = sq.rotate(st, axis, angle)
+                        want = expm(-1j * angle * gen) @ st.amplitudes
+                        assert np.max(np.abs(got.amplitudes - want)) < 1e-12 * n
+                assert len(calls) - before <= 1
+
     def test_cached_decomposition_read_only(self):
-        for arr in states._axis_eigensystem(9, (0.0, 1.0, 0.0)):
+        prop = states._axis_propagator(9, (0.0, 1.0, 0.0))
+        [(_, _, w, v)] = prop.blocks
+        for arr in (w, v, prop.gauge):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -232,6 +270,29 @@ class TestRotate:
             sq.rotate(st, np.zeros(3), 1.0)
         with pytest.raises(ValueError):
             sq.rotate(st, np.array([1.0, 1.0, 0.0]), 1.0)
+
+
+class TestSharedDecomposition:
+    """J_x, J_y, -J_y and one-axis twisting about x reuse one decomposition."""
+
+    def test_ghz_parity_ramsey_decomposes_once(self, monkeypatch, capsys):
+        from spinsqueeze.cli import run_cli
+
+        calls = count_decompositions(monkeypatch)
+        argv = ["ramsey", "--n", "40", "--state", "ghz", "--readout", "parity",
+                "--phi", "0.3,1.1,2.9"]
+        assert run_cli(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert calls == [41]
+
+    def test_y_rotation_and_oat_x_decompose_once(self, monkeypatch):
+        from spinsqueeze.twist import OAT_X, HamiltonianSpec, evolve
+
+        calls = count_decompositions(monkeypatch)
+        st = random_state(40, 11)
+        for _ in range(3):
+            st = evolve(sq.rotate(st, YHAT, 0.4), HamiltonianSpec(OAT_X, 0.7), 0.05)
+        assert calls == [41]
 
 
 class TestMoments:

@@ -177,8 +177,8 @@ class TestEvolve:
 
     def test_cached_decomposition_read_only(self):
         for spec in (HamiltonianSpec(TAT, 1.0), HamiltonianSpec(OAT_TRANSVERSE, 1.0, 0.5)):
-            blocks, _ = twist._eigensystem(11, spec)
-            for arr in (arr for _, _, w, v in blocks for arr in (w, v)):
+            prop = twist._propagator(11, spec)
+            for arr in (arr for _, _, w, v in prop.blocks for arr in (w, v)):
                 assert not arr.flags.writeable
 
     def test_tat_optimal_angle_locked(self):
