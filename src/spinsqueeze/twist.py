@@ -279,7 +279,9 @@ def kicked_top_trajectory(
     means = np.zeros((n_kicks, 3))
     last_squeezed = 0
     for step in range(1, n_kicks + 1):
-        psi = SymmetricState(n, twist_phases * kick(psi.amplitudes, spec.p))
+        # renormalised: over thousands of kicks the rounding of each unitary
+        # step would otherwise walk the norm past the 1e-12 state check
+        psi = SymmetricState.normalized(n, twist_phases * kick(psi.amplitudes, spec.p))
         mset = moments(psi)
         rep = compute_report(mset)
         reports.append(rep)

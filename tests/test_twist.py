@@ -344,6 +344,14 @@ class TestKickedTop:
             KickedTopSpec(kappa=kappa, j=25.0)
         KickedTopSpec(kappa=1e300, j=25.0)
 
+    def test_long_trajectory_stays_normalised(self):
+        # without renormalisation the rounding of the kicks walks the norm past
+        # the 1e-12 state check at kick 671 of this trajectory
+        spec = KickedTopSpec(kappa=3.0, j=100.0)
+        res = kicked_top_trajectory(sq.css(200, 2.25, 0.5), spec, 700)
+        assert len(res.reports) == 700
+        assert np.all(np.isfinite(res.means))
+
     def test_reports_and_means_align(self):
         res = self.traj(0.63, 5)
         assert len(res.reports) == 5
