@@ -581,7 +581,16 @@ def run_cli(argv) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        size = f" at --n {args.n}" if getattr(args, "n", None) is not None else ""
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{size}{detail}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,7 +19,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .states import SymmetricState, _density_eigh, _moment_tables, dicke, moments, rotate
+from .states import (
+    SymmetricState,
+    _density_eigh,
+    _ladder_index,
+    _moment_tables,
+    dicke,
+    moments,
+    rotate,
+)
 
 __all__ = [
     "EstimationResult",
@@ -197,13 +205,9 @@ def sss_andre(n_particles: int) -> SymmetricState:
     if n % 2 != 0:
         raise ValueError("this benchmark state needs integer j (even N)")
     amp = np.zeros(n + 1, dtype=complex)
-    amp[_m_index(n, 0)] = 1.0 / math.sqrt(2.0)
-    amp[_m_index(n, 1)] = -0.5
-    amp[_m_index(n, -1)] = -0.5
+    amp[_ladder_index(n, 0)] = 1.0 / math.sqrt(2.0)
+    amp[_ladder_index(n, 1)] = -0.5
+    amp[_ladder_index(n, -1)] = -0.5
     base = SymmetricState(n, amp)
     # J_x eigenbasis convention fixed so that <J_z> = +sqrt(j(j+1)/2)
     return rotate(base, np.array([0.0, 1.0, 0.0]), math.pi / 2.0)
-
-
-def _m_index(n: int, m: float) -> int:
-    return int(round(n / 2.0 - m))

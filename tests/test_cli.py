@@ -67,6 +67,25 @@ class TestExitCodes:
         assert (fresh.returncode, fresh.stdout) == (0, "[]\n")
 
 
+    @pytest.mark.parametrize("module", ["spinsqueeze", "spinsqueeze.cli"])
+    def test_python_m_entry_points(self, capsys, module):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sq.__file__)))
+        argv = ["oat", "--n", "12", "--theta", "0.3"]
+        fresh = subprocess.run([sys.executable, "-m", module, *argv],
+                               capture_output=True, text=True, env=env)
+        code, out, _ = run(capsys, *argv)
+        assert (fresh.returncode, fresh.stdout) == (code, out)
+        assert out.startswith("n,")
+
+    def test_out_of_memory_exits_naming_n(self, capsys, monkeypatch):
+        def exhausted(n, theta):
+            raise MemoryError("Unable to allocate 763. MiB for an array")
+
+        monkeypatch.setattr(states, "_css_magnitudes", exhausted)
+        code, out, err = run(capsys, "metrics", "--state", "css", "--n", "8")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "--n 8" in err
+
 class TestOatCommand:
     def test_json_value_matches_closed_form(self, capsys):
         code, out, _ = run(capsys, "oat", "--n", "12", "--theta", "0.3", "--format", "json")

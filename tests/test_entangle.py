@@ -286,7 +286,7 @@ class TestNoDenseMatrices:
             importlib.import_module(f"spinsqueeze.{info.name}")
             for info in pkgutil.iter_modules(spinsqueeze.__path__)
         ]
-        assert len(modules) == 9
+        assert len(modules) == 10  # the package, eight modules and __main__
         for mod in modules:
             for name in getattr(mod, "__all__", []):
                 assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"
